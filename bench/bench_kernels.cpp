@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unordered_map>
-
 #include "algo/graph_algorithms.h"
 #include "cache/manager.h"
 #include "common/flat_map.h"
@@ -263,10 +261,9 @@ void BM_MutateSequence(benchmark::State& state) {
 }
 BENCHMARK(BM_MutateSequence);
 
-// ---- Old-vs-new kernel comparisons ---------------------------------------
-// Each pair benchmarks the pre-batch-kernel implementation (reconstructed
-// here as a baseline) against the engine's current kernel on identical
-// inputs, so BENCH_kernels.json records the speedup directly.
+// ---- Engine row kernels ----------------------------------------------------
+// Single-vector distances, the shuffle partition + gather, and the hash-join
+// build/probe index, called the way the engine calls them.
 
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -274,36 +271,6 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   for (auto& x : v) x = static_cast<float>(rng.normal());
   return v;
 }
-
-// Single-accumulator loops, as vector_store.cpp/ivf_index.cpp wrote them
-// before the shared 4-way kernels. The serial dependence chain is the
-// baseline being measured; DoNotOptimize on the accumulator is not needed
-// because the result feeds the benchmark sink.
-float dot_scalar(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-float l2sq_scalar(const float* a, const float* b, std::size_t n) {
-  float acc = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) {
-    float d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-void BM_DotScalar(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  auto a = random_floats(dim, 21);
-  auto b = random_floats(dim, 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dot_scalar(a.data(), b.data(), dim));
-  }
-  state.SetItemsProcessed(state.iterations() * dim);
-}
-BENCHMARK(BM_DotScalar)->Arg(128)->Arg(512);
 
 void BM_DotKernel(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
@@ -315,17 +282,6 @@ void BM_DotKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim);
 }
 BENCHMARK(BM_DotKernel)->Arg(128)->Arg(512);
-
-void BM_L2Scalar(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
-  auto a = random_floats(dim, 23);
-  auto b = random_floats(dim, 24);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(l2sq_scalar(a.data(), b.data(), dim));
-  }
-  state.SetItemsProcessed(state.iterations() * dim);
-}
-BENCHMARK(BM_L2Scalar)->Arg(128)->Arg(512);
 
 void BM_L2Kernel(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
@@ -407,25 +363,7 @@ graph::SolutionTable make_shuffle_table(std::size_t rows) {
 
 // Sizes model per-rank table parts: workloads here shard 1e4-1e5 rows over
 // 8-256 ranks, so a part is thousands of rows and its columns sit in L2,
-// where the per-destination gathers stream. (Far beyond L2 the gather's
-// repeated sparse passes over the source column converge with the per-row
-// walk; per-part sizes never reach that regime.)
-void BM_ShufflePerRow(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  constexpr int kParts = 16;
-  graph::SolutionTable table = make_shuffle_table(rows);
-  for (auto _ : state) {
-    std::vector<graph::SolutionTable> out(kParts, table.empty_like());
-    for (std::size_t row = 0; row < rows; ++row) {
-      auto dst = static_cast<std::size_t>(mix64(table.id_at(row, 0)) % kParts);
-      out[dst].append_row_from(table, row);
-    }
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_ShufflePerRow)->Arg(1 << 12)->Arg(1 << 14);
-
+// where the per-destination gathers stream.
 void BM_ShuffleBatch(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   constexpr int kParts = 16;
@@ -461,25 +399,6 @@ void make_join_keys(std::size_t n, std::vector<std::uint64_t>* build,
   for (auto& k : *build) k = rng.next_below(domain);
   for (auto& k : *probe) k = rng.next_below(domain);
 }
-
-void BM_JoinIndexMultimap(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> build, probe;
-  make_join_keys(n, &build, &probe);
-  for (auto _ : state) {
-    std::unordered_multimap<std::uint64_t, std::size_t> index;
-    index.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) index.emplace(build[i], i);
-    std::size_t produced = 0;
-    for (std::uint64_t key : probe) {
-      auto [lo, hi] = index.equal_range(key);
-      for (auto it = lo; it != hi; ++it) produced += it->second;
-    }
-    benchmark::DoNotOptimize(produced);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_JoinIndexMultimap)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_JoinIndexFlat(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

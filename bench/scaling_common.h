@@ -1,6 +1,6 @@
 #pragma once
 
-// Shared setup for the Fig 4 / Fig 5 scaling benches.
+// Setup for the Fig 4 / Fig 5 scaling bench (bench_fig4_scaling).
 //
 // Scale model (DESIGN.md §2): the paper runs the NCNPR query over a 100B-
 // fact graph where ~66M UniProt sequences are compared against P29274 on

@@ -158,58 +158,6 @@ PageRankResult pagerank(const graph::TripleStore& store,
   return result;
 }
 
-BfsResult bfs(const graph::TripleStore& store,
-              const runtime::Topology& topology, graph::TermId source,
-              graph::TermId predicate) {
-  BfsResult result;
-  const int p = topology.num_ranks();
-  DistributedGraph g = extract(store, p, predicate, /*undirected=*/true);
-  sim::ClockSet clocks(static_cast<std::size_t>(p));
-
-  // Adjacency for fast frontier expansion.
-  std::unordered_map<TermId, std::vector<TermId>> adj;
-  for (const auto& edges : g.edges) {
-    for (const auto& [u, v] : edges) adj[u].push_back(v);
-  }
-  if (adj.find(source) == adj.end()) {
-    bool exists = false;
-    for (const auto& verts : g.vertices) {
-      for (TermId v : verts) {
-        if (v == source) exists = true;
-      }
-    }
-    if (!exists) return result;
-  }
-
-  std::vector<TermId> frontier = {source};
-  result.distance[source] = 0;
-  int depth = 0;
-  while (!frontier.empty()) {
-    ++depth;
-    std::vector<TermId> next;
-    std::vector<std::uint64_t> messages(static_cast<std::size_t>(p), 0);
-    for (TermId u : frontier) {
-      auto it = adj.find(u);
-      if (it == adj.end()) continue;
-      int u_owner = g.owner(u);
-      for (TermId v : it->second) {
-        if (result.distance.emplace(v, depth).second) {
-          next.push_back(v);
-          if (g.owner(v) != u_owner) {
-            ++messages[static_cast<std::size_t>(u_owner)];
-          }
-        }
-      }
-    }
-    charge_superstep(clocks, topology, g, messages, sizeof(TermId) + 4);
-    ++result.supersteps;
-    frontier = std::move(next);
-  }
-
-  result.modeled_seconds = sim::to_seconds(clocks.max());
-  return result;
-}
-
 ComponentsResult connected_components(const graph::TripleStore& store,
                                       const runtime::Topology& topology,
                                       graph::TermId predicate) {

@@ -42,18 +42,6 @@ PageRankResult pagerank(const graph::TripleStore& store,
                         graph::TermId predicate = graph::kInvalidTerm,
                         const PageRankOptions& options = {});
 
-struct BfsResult {
-  /// Hop distance from the source for every reachable vertex.
-  std::unordered_map<graph::TermId, int> distance;
-  int supersteps = 0;
-  double modeled_seconds = 0.0;
-};
-
-/// Parallel BFS from `source`, treating edges as undirected.
-BfsResult bfs(const graph::TripleStore& store,
-              const runtime::Topology& topology, graph::TermId source,
-              graph::TermId predicate = graph::kInvalidTerm);
-
 struct ComponentsResult {
   /// Component label (the minimum vertex id in the component).
   std::unordered_map<graph::TermId, graph::TermId> component;

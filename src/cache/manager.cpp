@@ -52,7 +52,6 @@ CacheManager::CacheManager(CacheConfig config)
   tele_.puts = cache_counter("ids_cache_puts_total");
   tele_.spills_to_ssd = cache_counter("ids_cache_spills_total");
   tele_.ssd_drops = cache_counter("ids_cache_ssd_drops_total");
-  tele_.promotions = cache_counter("ids_cache_promotions_total");
   tele_.bytes_read = cache_counter("ids_cache_read_bytes_total");
   tele_.bytes_written = cache_counter("ids_cache_written_bytes_total");
   auto tier_read_bytes = [&](const char* tier) {
@@ -87,7 +86,6 @@ CacheStats CacheManager::counters_snapshot() const {
   s.puts = tele_.puts->value();
   s.spills_to_ssd = tele_.spills_to_ssd->value();
   s.ssd_drops = tele_.ssd_drops->value();
-  s.promotions = tele_.promotions->value();
   s.bytes_read = tele_.bytes_read->value();
   s.bytes_written = tele_.bytes_written->value();
   s.read_bytes_local_dram = tele_.read_bytes_local_dram->value();
@@ -301,18 +299,17 @@ void CacheManager::put(sim::VirtualClock& clock, int node,
   meta.name = std::string(name);
   meta.size = payload.size();
 
-  if (config_.write_through) {
-    clock.advance(config_.fabric.backing_store.transfer_cost(payload.size()));
-    backing_[id] = payload;
-    meta.in_backing = true;
-  }
+  // Write through to the backing store: the authoritative copy.
+  clock.advance(config_.fabric.backing_store.transfer_cost(payload.size()));
+  backing_[id] = payload;
+  meta.in_backing = true;
 
   int target = hint.target_node >= 0 ? hint.target_node : node;
   target = std::min(std::max(target, 0), config_.num_nodes - 1);
   Status placed = insert_dram(clock, target, id, meta, payload);
   if (!placed.ok()) {
     // Degraded but recoverable: the object is still authoritative in the
-    // backing store (write_through) and will re-cache on a later get().
+    // backing store and will re-cache on a later get().
     IDS_WARN << "cache put of " << meta.name
              << " left uncached: " << placed.to_string();
   }
@@ -402,11 +399,6 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
     tele_.hits_remote_dram->inc();
     tele_.bytes_read->inc(meta.size);
     tele_.read_bytes_remote_dram->inc(meta.size);
-    if (config_.promote_on_remote_hit) {
-      // Best-effort: a failed promotion still served the read.
-      IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
-      tele_.promotions->inc();
-    }
     return payload;
   }
 
@@ -421,11 +413,6 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
     tele_.hits_remote_ssd->inc();
     tele_.bytes_read->inc(meta.size);
     tele_.read_bytes_remote_ssd->inc(meta.size);
-    if (config_.promote_on_remote_hit) {
-      // Best-effort: a failed promotion still served the read.
-      IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
-      tele_.promotions->inc();
-    }
     return payload;
   }
 
@@ -451,47 +438,11 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
   return std::nullopt;
 }
 
-bool CacheManager::contains(std::string_view name) const {
-  MutexLock lock(mutex_);
-  auto it = directory_.find(object_id(name));
-  if (it == directory_.end()) return false;
-  return !it->second.copies.empty() || it->second.in_backing;
-}
-
 std::vector<Location> CacheManager::locations(std::string_view name) const {
   MutexLock lock(mutex_);
   auto it = directory_.find(object_id(name));
   if (it == directory_.end()) return {};
   return it->second.copies;
-}
-
-sim::Nanos CacheManager::estimated_get_cost(int node,
-                                            std::string_view name) const {
-  MutexLock lock(mutex_);
-  auto it = directory_.find(object_id(name));
-  if (it == directory_.end()) return std::numeric_limits<sim::Nanos>::max();
-  const Meta& meta = it->second;
-
-  sim::Nanos best = std::numeric_limits<sim::Nanos>::max();
-  for (const auto& loc : meta.copies) {
-    sim::Nanos c;
-    if (loc.tier == TierKind::kDram) {
-      c = (loc.node == node ? config_.fabric.intra_node
-                            : config_.fabric.inter_node)
-              .transfer_cost(meta.size);
-    } else {
-      c = config_.fabric.local_ssd.transfer_cost(meta.size);
-      if (loc.node != node) {
-        c += config_.fabric.inter_node.transfer_cost(meta.size);
-      }
-    }
-    best = std::min(best, c);
-  }
-  if (meta.in_backing) {
-    best = std::min(best,
-                    config_.fabric.backing_store.transfer_cost(meta.size));
-  }
-  return best;
 }
 
 int CacheManager::nearest_node_with(std::string_view name,
@@ -530,42 +481,6 @@ void CacheManager::fail_node(int node) {
         std::remove_if(meta.copies.begin(), meta.copies.end(),
                        [node](const Location& l) { return l.node == node; }),
         meta.copies.end());
-  }
-}
-
-void CacheManager::invalidate(std::string_view name) {
-  MutexLock lock(mutex_);
-  ObjectId id = object_id(name);
-  auto it = directory_.find(id);
-  if (it == directory_.end()) return;
-  Meta& meta = it->second;
-  while (!meta.copies.empty()) drop_copy(id, meta, meta.copies.front());
-  backing_.erase(id);
-  directory_.erase(it);
-}
-
-void CacheManager::relocate(sim::VirtualClock& clock, std::string_view name,
-                            int target_node) {
-  MutexLock lock(mutex_);
-  ObjectId id = object_id(name);
-  auto it = directory_.find(id);
-  if (it == directory_.end()) return;
-  Meta& meta = it->second;
-  int owner = -1;
-  for (const auto& loc : meta.copies) {
-    if (loc.tier == TierKind::kDram) {
-      owner = loc.node;
-      break;
-    }
-  }
-  if (owner < 0 || owner == target_node) return;
-  std::string payload;
-  if (!read_dram_copy(clock, target_node, owner, meta, &payload)) return;
-  drop_copy(id, meta, Location{owner, TierKind::kDram});
-  Status moved = insert_dram(clock, target_node, id, meta, payload);
-  if (!moved.ok()) {
-    IDS_WARN << "cache relocate of " << meta.name
-             << " dropped the DRAM copy: " << moved.to_string();
   }
 }
 

@@ -50,10 +50,6 @@ struct CacheConfig {
   std::uint64_t dram_capacity_bytes = 8ull << 20;
   std::uint64_t ssd_capacity_bytes = 64ull << 20;
   sim::FabricParams fabric;
-  /// Write puts through to the backing store (authoritative copy).
-  bool write_through = true;
-  /// Copy an object into the reader's local DRAM after a remote hit.
-  bool promote_on_remote_hit = false;
   /// Disables the SSD tier entirely (DRAM evictions drop instead of spill).
   bool enable_ssd = true;
   /// Serialization/deserialization service time per cached artifact,
@@ -67,8 +63,8 @@ struct CacheConfig {
   /// telemetry::MetricsRegistry::global().
   telemetry::MetricsRegistry* metrics = nullptr;
   /// Instance label on every metric (`cache="..."`), so multiple caches
-  /// (e.g. the two clusters of a CrossClusterBridge) stay distinguishable
-  /// in one registry. Empty = auto-assigned "cache<N>".
+  /// stay distinguishable in one registry. Empty = auto-assigned
+  /// "cache<N>".
   std::string name;
 };
 
@@ -96,11 +92,7 @@ class CacheManager {
   std::optional<std::string> get(sim::VirtualClock& clock, int node,
                                  std::string_view name) IDS_EXCLUDES(mutex_);
 
-  /// True if a get() would succeed (any tier or backing store).
-  bool contains(std::string_view name) const IDS_EXCLUDES(mutex_);
-
-  /// Locality query: where are copies of this object right now? Used by
-  /// schedulers to co-locate computation with data (§3.2).
+  /// Locality query: where are copies of this object right now? (§3.2)
   std::vector<Location> locations(std::string_view name) const
       IDS_EXCLUDES(mutex_);
 
@@ -109,25 +101,10 @@ class CacheManager {
   int nearest_node_with(std::string_view name, int from_node) const
       IDS_EXCLUDES(mutex_);
 
-  /// Modeled cost of a get() issued from `node` right now, without
-  /// performing it (no stats, no LRU effect). Schedulers use this to
-  /// co-locate computation with data (§3.2 / §8). Returns the recompute
-  /// sentinel sim::Nanos max for objects that are absent everywhere.
-  sim::Nanos estimated_get_cost(int node, std::string_view name) const
-      IDS_EXCLUDES(mutex_);
-
   /// Drops every cached copy held by `node` (its DRAM region on the FAM
   /// server and its SSD). Backing-store contents are unaffected; the next
   /// get() re-populates from backing, which is the paper's recovery story.
   void fail_node(int node) IDS_EXCLUDES(mutex_);
-
-  /// Removes the object from all tiers and the backing store.
-  void invalidate(std::string_view name) IDS_EXCLUDES(mutex_);
-
-  /// Explicitly relocates an object's DRAM copy to `target_node`
-  /// (operator-policy data movement, §3.2). No-op if not DRAM-resident.
-  void relocate(sim::VirtualClock& clock, std::string_view name,
-                int target_node) IDS_EXCLUDES(mutex_);
 
   /// Snapshot of the counters since the last reset_stats(). The live
   /// counters are telemetry registry instruments (monotonic, shared with
@@ -222,7 +199,6 @@ class CacheManager {
     telemetry::Counter* puts;
     telemetry::Counter* spills_to_ssd;
     telemetry::Counter* ssd_drops;
-    telemetry::Counter* promotions;
     telemetry::Counter* bytes_read;
     telemetry::Counter* bytes_written;
     // ids_cache_tier_read_bytes_total{cache,tier}: read-path payload

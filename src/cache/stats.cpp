@@ -10,7 +10,7 @@ std::string CacheStats::to_string() const {
      << " remote_dram=" << hits_remote_dram << " remote_ssd=" << hits_remote_ssd
      << " backing=" << hits_backing << "} misses=" << misses
      << " puts=" << puts << " spills=" << spills_to_ssd
-     << " ssd_drops=" << ssd_drops << " promotions=" << promotions
+     << " ssd_drops=" << ssd_drops
      << " bytes{r=" << bytes_read << " w=" << bytes_written << "}";
   return os.str();
 }

@@ -20,7 +20,6 @@ struct CacheStats {
   std::uint64_t puts = 0;
   std::uint64_t spills_to_ssd = 0;  // DRAM eviction demoted a copy to SSD
   std::uint64_t ssd_drops = 0;      // SSD eviction dropped a cached copy
-  std::uint64_t promotions = 0;     // remote hit copied object to local DRAM
 
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
@@ -58,7 +57,6 @@ struct CacheStats {
     d.puts = puts - baseline.puts;
     d.spills_to_ssd = spills_to_ssd - baseline.spills_to_ssd;
     d.ssd_drops = ssd_drops - baseline.ssd_drops;
-    d.promotions = promotions - baseline.promotions;
     d.bytes_read = bytes_read - baseline.bytes_read;
     d.bytes_written = bytes_written - baseline.bytes_written;
     d.read_bytes_local_dram =

@@ -195,15 +195,10 @@ class QueryExecution {
     const double wall_seconds =
         static_cast<double>(wall_now - stage_wall_start_) * 1e-9;
     if (tracer_ != nullptr) {
-      if (stage_span_ != telemetry::kNoSpan) {
-        tracer_->end_span(stage_span_, now);
-        stage_span_ = telemetry::kNoSpan;
-      } else {
-        // Stage ran without a stage_begin(): record it retroactively so
-        // the trace still covers every StageTiming entry.
-        tracer_->record_span(stage, "stage", root_span_, -1, last_mark_, now,
-                             stage_wall_start_, wall_now);
-      }
+      // kNoSpan when the tracer's cap dropped the stage span: end_span is
+      // then a no-op, and the drop was already counted once.
+      tracer_->end_span(stage_span_, now);
+      stage_span_ = telemetry::kNoSpan;
     }
     stage_wall_start_ = wall_now;
     metrics_
@@ -308,7 +303,7 @@ class QueryExecution {
   // ---- Row movement ------------------------------------------------------
 
   /// Moves every row to the rank returned by `dst_of`, charging the
-  /// alpha-beta fabric model and synchronizing clocks (one alltoallv).
+  /// alpha-beta fabric model and synchronizing clocks (one all-to-all).
   /// Batch kernel: destinations are computed into a flat array, partitioned
   /// into per-destination index lists, and moved with one columnar gather
   /// per (src, dst) pair instead of one schema-walk per row.
@@ -838,7 +833,7 @@ class QueryExecution {
     }
     stage_begin("vector");
     // Per-shard top-k (exact scan, or IVF probing when the clause asks
-    // for approximate search), then a global merge (allgather of k hits).
+    // for approximate search), then a global merge (tree gather of k hits).
     std::vector<std::vector<store::VectorHit>> shard_hits(
         static_cast<std::size_t>(p_));
     runtime::for_each_rank(p_, "rank.vector", [&](int r) {
@@ -962,7 +957,7 @@ class QueryExecution {
                                                *profiler_);
         if (est > 0.0) throughput[ru] = 1.0 / est;
       }
-      // Ranks exchange their estimates (one small allreduce).
+      // Ranks exchange their estimates (one small tree reduction).
       runtime::charge_tree_collective(clocks_, opts_.topology, 8);
       RebalanceDecision decision =
           decide_rebalance(opts_.rebalance, counts, throughput);

@@ -77,10 +77,6 @@ struct CostProfile {
     return sim::from_seconds(docking_seconds_per_unit *
                              static_cast<double>(work_units));
   }
-  sim::Nanos structure_cost(std::uint64_t work_units) const {
-    return sim::from_seconds(structure_seconds_per_unit *
-                             static_cast<double>(work_units));
-  }
   sim::Nanos vector_scan_cost(std::uint64_t work_units) const {
     return sim::from_seconds(vector_scan_seconds_per_unit *
                              static_cast<double>(work_units));

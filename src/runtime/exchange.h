@@ -1,32 +1,28 @@
 #pragma once
 
-// Collective communication with modeled cost.
+// Modeled cost of the MPI collectives the Cray Graph Engine pipeline
+// relies on (redistribution between scans/joins/filters, global solution
+// syncs). Callers move the rows themselves and charge the per-rank
+// virtual clocks with the alpha-beta link model:
 //
-// These are the MPI collectives the Cray Graph Engine pipeline relies on
-// (redistribution between scans/joins/filters, global solution syncs),
-// executed directly on in-memory buffers and *costed* on the per-rank
-// virtual clocks using the alpha-beta link model:
-//
-//   alltoallv  — per rank: one alpha per peer message plus
+//   personalized all-to-all — per rank: one alpha per peer message plus
 //                max(bytes_sent, bytes_received) / bandwidth, split by
-//                intra- vs inter-node traffic; synchronizing.
-//   allgather/allreduce/broadcast — log2(P) tree: each step costs
-//                alpha + step_bytes / bandwidth; synchronizing.
+//                intra- vs inter-node traffic (charge_traffic).
+//   gather/reduce/broadcast — log2(P) tree: each step costs
+//                alpha + step_bytes / bandwidth (charge_tree_collective).
 //
 // Every collective ends with a clock barrier, exactly like the global
 // solution syncs in the paper (§2.4.3: "ranks will sync solutions globally
 // only once the evaluations are complete").
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "runtime/topology.h"
 #include "sim/virtual_clock.h"
 
 namespace ids::runtime {
 
-/// Per-rank traffic summary for one alltoallv, used to charge clocks.
+/// Per-rank traffic summary for one all-to-all, used to charge clocks.
 struct TrafficSummary {
   std::uint64_t intra_sent = 0;
   std::uint64_t inter_sent = 0;
@@ -52,66 +48,8 @@ inline void charge_traffic(sim::VirtualClock& clock, const Topology& topo,
   clock.advance(cost);
 }
 
-/// Personalized all-to-all: send[src][dst] is the vector of items rank
-/// `src` sends to rank `dst`. Returns recv[dst] = concatenation of all
-/// items addressed to dst (in source-rank order, deterministic).
-/// `bytes_per_item` sizes the modeled traffic.
-template <typename T>
-std::vector<std::vector<T>> alltoallv(
-    sim::ClockSet& clocks, const Topology& topo,
-    std::vector<std::vector<std::vector<T>>>& send,
-    std::uint64_t bytes_per_item = sizeof(T)) {
-  const int p = topo.num_ranks();
-  std::vector<TrafficSummary> traffic(static_cast<std::size_t>(p));
-
-  std::vector<std::vector<T>> recv(static_cast<std::size_t>(p));
-  // Pre-size receive buffers.
-  std::vector<std::size_t> recv_count(static_cast<std::size_t>(p), 0);
-  for (int src = 0; src < p; ++src) {
-    for (int dst = 0; dst < p; ++dst) {
-      recv_count[static_cast<std::size_t>(dst)] +=
-          send[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)].size();
-    }
-  }
-  for (int dst = 0; dst < p; ++dst) {
-    recv[static_cast<std::size_t>(dst)].reserve(recv_count[static_cast<std::size_t>(dst)]);
-  }
-
-  for (int src = 0; src < p; ++src) {
-    for (int dst = 0; dst < p; ++dst) {
-      auto& buf = send[static_cast<std::size_t>(src)][static_cast<std::size_t>(dst)];
-      if (buf.empty()) continue;
-      std::uint64_t bytes = bytes_per_item * buf.size();
-      if (src != dst) {
-        auto& ts = traffic[static_cast<std::size_t>(src)];
-        auto& td = traffic[static_cast<std::size_t>(dst)];
-        ++ts.messages;
-        if (topo.same_node(src, dst)) {
-          ts.intra_sent += bytes;
-          td.intra_recv += bytes;
-        } else {
-          ts.inter_sent += bytes;
-          td.inter_recv += bytes;
-        }
-      }
-      auto& out = recv[static_cast<std::size_t>(dst)];
-      out.insert(out.end(), std::make_move_iterator(buf.begin()),
-                 std::make_move_iterator(buf.end()));
-      buf.clear();
-    }
-  }
-
-  for (int r = 0; r < p; ++r) {
-    charge_traffic(clocks.at(static_cast<std::size_t>(r)), topo,
-                   traffic[static_cast<std::size_t>(r)]);
-  }
-  clocks.barrier();
-  return recv;
-}
-
 /// Charges all clocks for a log2(P)-step tree collective moving
-/// `bytes_per_step` per step, then barriers. Shared by the value-moving
-/// collectives below.
+/// `bytes_per_step` per step, then barriers.
 inline void charge_tree_collective(sim::ClockSet& clocks, const Topology& topo,
                                    std::uint64_t bytes_per_step) {
   const int p = topo.num_ranks();
@@ -124,35 +62,6 @@ inline void charge_tree_collective(sim::ClockSet& clocks, const Topology& topo,
     clocks.at(r).advance(static_cast<sim::Nanos>(steps) * per_step);
   }
   clocks.barrier();
-}
-
-/// Gathers one value from each rank to all ranks.
-template <typename T>
-std::vector<T> allgather(sim::ClockSet& clocks, const Topology& topo,
-                         const std::vector<T>& per_rank_value,
-                         std::uint64_t bytes_per_item = sizeof(T)) {
-  charge_tree_collective(clocks, topo,
-                         bytes_per_item * per_rank_value.size());
-  return per_rank_value;  // values are already materialized per rank
-}
-
-/// Reduces per-rank values with `op` and returns the result visible to all.
-template <typename T, typename Op>
-T allreduce(sim::ClockSet& clocks, const Topology& topo,
-            const std::vector<T>& per_rank_value, Op op,
-            std::uint64_t bytes_per_item = sizeof(T)) {
-  charge_tree_collective(clocks, topo, bytes_per_item);
-  T acc = per_rank_value.at(0);
-  for (std::size_t i = 1; i < per_rank_value.size(); ++i) {
-    acc = op(acc, per_rank_value[i]);
-  }
-  return acc;
-}
-
-/// Broadcast: charges a tree collective for `bytes` from rank 0.
-inline void broadcast_cost(sim::ClockSet& clocks, const Topology& topo,
-                           std::uint64_t bytes) {
-  charge_tree_collective(clocks, topo, bytes);
 }
 
 }  // namespace ids::runtime

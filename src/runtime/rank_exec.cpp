@@ -6,48 +6,23 @@
 
 namespace ids::runtime {
 
-namespace {
-
-// Resolved lazily so the registry exists before first use; pointers into
-// the (leaked) global registry stay valid for the process lifetime.
-telemetry::Counter* steps_counter(const char* mode) {
-  auto& registry = telemetry::MetricsRegistry::global();
-  return registry.counter("ids_runtime_rank_steps_total", {{"mode", mode}});
-}
-
-telemetry::Counter* invocations_counter(const char* mode) {
-  auto& registry = telemetry::MetricsRegistry::global();
-  return registry.counter("ids_runtime_rank_invocations_total",
-                          {{"mode", mode}});
-}
-
-}  // namespace
-
-void for_each_rank(int num_ranks, const std::function<void(int)>& fn) {
-  static telemetry::Counter* const steps = steps_counter("parallel");
+void for_each_rank(int num_ranks, const char* scope,
+                   const std::function<void(int)>& fn) {
+  // Resolved once; pointers into the (leaked) global registry stay valid
+  // for the process lifetime.
+  static telemetry::Counter* const steps =
+      telemetry::MetricsRegistry::global().counter(
+          "ids_runtime_rank_steps_total");
   static telemetry::Counter* const invocations =
-      invocations_counter("parallel");
+      telemetry::MetricsRegistry::global().counter(
+          "ids_runtime_rank_invocations_total");
   steps->inc();
   invocations->inc(static_cast<std::uint64_t>(num_ranks));
   ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(num_ranks),
-      [&fn](std::size_t i) { fn(static_cast<int>(i)); });
-}
-
-void for_each_rank(int num_ranks, const char* scope,
-                   const std::function<void(int)>& fn) {
-  for_each_rank(num_ranks, [scope, &fn](int r) {
-    telemetry::ProfileScope profile(scope);
-    fn(r);
-  });
-}
-
-void for_each_rank_serial(int num_ranks, const std::function<void(int)>& fn) {
-  static telemetry::Counter* const steps = steps_counter("serial");
-  static telemetry::Counter* const invocations = invocations_counter("serial");
-  steps->inc();
-  invocations->inc(static_cast<std::uint64_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) fn(r);
+      static_cast<std::size_t>(num_ranks), [scope, &fn](std::size_t i) {
+        telemetry::ProfileScope profile(scope);
+        fn(static_cast<int>(i));
+      });
 }
 
 }  // namespace ids::runtime

@@ -30,8 +30,5 @@ constexpr Nanos from_seconds(double s) {
 constexpr double to_seconds(Nanos ns) {
   return static_cast<double>(ns) / static_cast<double>(kNanosPerSecond);
 }
-constexpr double to_millis(Nanos ns) {
-  return static_cast<double>(ns) / static_cast<double>(kNanosPerMilli);
-}
 
 }  // namespace ids::sim

@@ -22,7 +22,6 @@ class VirtualClock {
  public:
   Nanos now() const { return now_; }
   void advance(Nanos ns) { now_ += ns; }
-  void advance_seconds(double s) { now_ += from_seconds(s); }
   /// Moves forward to `t` if `t` is later (never moves backwards).
   void raise_to(Nanos t) { now_ = std::max(now_, t); }
   void reset() { now_ = 0; }

@@ -52,9 +52,6 @@ class InvertedIndex {
   /// Posting-list length of a token (0 if absent) — selectivity estimate.
   std::size_t posting_size(std::string_view token) const;
 
-  std::size_t num_tokens() const { return postings_.size(); }
-  std::size_t num_documents() const { return documents_; }
-
   /// Exposed for tests: the tokenizer used by add_document.
   static std::vector<std::string> tokenize(std::string_view text);
 

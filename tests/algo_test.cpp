@@ -1,14 +1,12 @@
-// Graph algorithm tests: PageRank properties on known topologies, BFS vs
-// naive distances, components on disjoint cliques — across shard counts
-// (parameterized), since results must be partition-invariant.
+// Graph algorithm tests: PageRank properties on known topologies and
+// components on disjoint cliques — across shard counts (parameterized),
+// since results must be partition-invariant.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <queue>
 
 #include "algo/graph_algorithms.h"
-#include "common/rng.h"
 
 namespace ids::algo {
 namespace {
@@ -76,58 +74,6 @@ TEST_P(AlgoShards, PageRankPartitionInvariant) {
   }
 }
 
-TEST_P(AlgoShards, BfsDistancesMatchNaive) {
-  const int shards = GetParam();
-  // Random graph, then compare against a serial BFS.
-  TripleStore store(shards);
-  Rng rng(42);
-  const int n = 40;
-  std::vector<std::pair<int, int>> edge_list;
-  for (int i = 0; i < 90; ++i) {
-    int u = static_cast<int>(rng.next_below(n));
-    int v = static_cast<int>(rng.next_below(n));
-    if (u == v) continue;
-    store.add("n" + std::to_string(u), kEdge, "n" + std::to_string(v));
-    edge_list.emplace_back(u, v);
-  }
-  store.finalize();
-
-  TermId source = *store.dict().lookup("n" + std::to_string(edge_list[0].first));
-  BfsResult got = bfs(store, runtime::Topology::laptop(shards), source);
-
-  // Naive undirected BFS over the integer edge list.
-  std::vector<std::vector<int>> adj(n);
-  for (auto [u, v] : edge_list) {
-    adj[static_cast<std::size_t>(u)].push_back(v);
-    adj[static_cast<std::size_t>(v)].push_back(u);
-  }
-  std::vector<int> dist(n, -1);
-  std::queue<int> q;
-  q.push(edge_list[0].first);
-  dist[static_cast<std::size_t>(edge_list[0].first)] = 0;
-  while (!q.empty()) {
-    int u = q.front();
-    q.pop();
-    for (int v : adj[static_cast<std::size_t>(u)]) {
-      if (dist[static_cast<std::size_t>(v)] < 0) {
-        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-        q.push(v);
-      }
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    auto id = store.dict().lookup("n" + std::to_string(v));
-    if (!id) continue;  // vertex never materialized
-    auto it = got.distance.find(*id);
-    if (dist[static_cast<std::size_t>(v)] < 0) {
-      EXPECT_EQ(it, got.distance.end());
-    } else {
-      ASSERT_NE(it, got.distance.end()) << "n" << v;
-      EXPECT_EQ(it->second, dist[static_cast<std::size_t>(v)]) << "n" << v;
-    }
-  }
-}
-
 TEST_P(AlgoShards, ComponentsOnDisjointCliques) {
   const int shards = GetParam();
   TripleStore store(shards);
@@ -164,10 +110,11 @@ TEST(Algo, PredicateFilterRestrictsEdges) {
   store.add("a", "other", "z");
   store.finalize();
   TermId follows = *store.dict().lookup("follows");
-  TermId a = *store.dict().lookup("a");
-  BfsResult r = bfs(store, runtime::Topology::laptop(4), a, follows);
-  EXPECT_EQ(r.distance.size(), 3u);  // a, b, c — not z
-  EXPECT_FALSE(r.distance.contains(*store.dict().lookup("z")));
+  ComponentsResult r =
+      connected_components(store, runtime::Topology::laptop(4), follows);
+  EXPECT_EQ(r.component.size(), 3u);  // a, b, c — not z
+  EXPECT_EQ(r.num_components, 1u);
+  EXPECT_FALSE(r.component.contains(*store.dict().lookup("z")));
 }
 
 TEST(Algo, EmptyGraphIsSafe) {

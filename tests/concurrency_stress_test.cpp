@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cross_cluster.h"
 #include "cache/manager.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -60,26 +59,16 @@ TEST(ConcurrencyStress, CacheManagerGetPutEvictAcrossTiers) {
     for (int i = 0; i < kOpsPerThread; ++i) {
       auto obj = static_cast<int>(rng.next_below(kObjects));
       std::string name = "obj/" + std::to_string(obj);
-      switch (rng.next_below(8)) {
+      switch (rng.next_below(4)) {
         case 0:
           cache.put(clock, node, name,
                     std::string(512 + 16 * static_cast<std::size_t>(obj), 'x'));
           break;
         case 1:
-          cache.invalidate(name);
-          break;
-        case 2:
           (void)cache.locations(name);
           break;
-        case 3:
-          (void)cache.estimated_get_cost(node, name);
-          break;
-        case 4:
-          (void)cache.contains(name);
-          break;
-        case 5:
-          cache.relocate(clock, name, static_cast<int>(rng.next_below(
-                                          static_cast<std::uint64_t>(cfg.num_nodes))));
+        case 2:
+          (void)cache.nearest_node_with(name, node);
           break;
         default: {
           auto hit = cache.get(clock, node, name);
@@ -130,46 +119,6 @@ TEST(ConcurrencyStress, CacheManagerNodeFailureDuringTraffic) {
     }
   });
   failer.join();
-}
-
-TEST(ConcurrencyStress, CrossClusterBridgeStats) {
-  cache::CacheConfig cfg;
-  cfg.num_nodes = 2;
-  cache::CacheManager local(cfg), peer(cfg);
-  cache::CrossClusterBridge bridge(&local, &peer, {0, 1.0e9});
-
-  {
-    sim::VirtualClock clock;
-    for (int i = 0; i < 8; ++i) {
-      peer.put(clock, 0, "peer/" + std::to_string(i), std::string(64, 'p'));
-    }
-  }
-
-  constexpr int kOps = 200;
-  hammer([&](int t) {
-    sim::VirtualClock clock;
-    Rng rng(0xb41d6e + static_cast<std::uint64_t>(t));
-    for (int i = 0; i < kOps; ++i) {
-      switch (rng.next_below(3)) {
-        case 0:
-          bridge.put(clock, 0, "local/" + std::to_string(rng.next_below(4)),
-                     std::string(32, 'l'));
-          break;
-        case 1:
-          (void)bridge.get(clock, 0, "peer/" + std::to_string(rng.next_below(8)));
-          break;
-        default:
-          (void)bridge.get(clock, 0, "absent/" + std::to_string(rng.next_below(4)));
-          break;
-      }
-    }
-  });
-
-  const cache::BridgeStats stats = bridge.stats();
-  // Every get resolved to exactly one of the three counters.
-  EXPECT_GT(stats.local_hits + stats.peer_fetches + stats.misses, 0u);
-  EXPECT_LE(stats.local_hits + stats.peer_fetches + stats.misses,
-            static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
 TEST(ConcurrencyStress, DictionaryInterning) {

@@ -1,10 +1,8 @@
 // Deployment-layer tests: launcher/client/agent lifecycle, the text query
-// endpoint, live updates, dynamic UDF import/reload, logs, and the
-// locality-aware scheduler.
+// endpoint, live updates, dynamic UDF import/reload, and logs.
 
 #include <gtest/gtest.h>
 
-#include "deploy/scheduler.h"
 #include "deploy/service.h"
 
 namespace ids::deploy {
@@ -163,70 +161,6 @@ TEST(Launcher, MultipleConcurrentSessions) {
   auto ra = ca.query("SELECT ?s WHERE { ?s in b }");
   ASSERT_TRUE(ra.ok());
   EXPECT_EQ(ra.value().solutions.num_rows(), 0u);
-}
-
-// ---- Locality-aware scheduler ----------------------------------------------
-
-TEST(Scheduler, PlacesTasksWithTheirData) {
-  cache::CacheConfig cc;
-  cc.num_nodes = 4;
-  cc.dram_capacity_bytes = 8 << 20;
-  cache::CacheManager cache(cc);
-  sim::VirtualClock clock;
-  // Objects pinned to distinct nodes in REVERSE task order, so the
-  // locality-blind round-robin baseline misplaces every task.
-  for (int n = 0; n < 4; ++n) {
-    cache::PlacementHint hint;
-    hint.target_node = 3 - n;
-    cache.put(clock, 0, "obj" + std::to_string(n), std::string(200'000, 'x'),
-              hint);
-  }
-
-  std::vector<TaskSpec> tasks;
-  for (int n = 0; n < 4; ++n) {
-    tasks.push_back({"task" + std::to_string(n), {"obj" + std::to_string(n)}});
-  }
-  Placement p = schedule_by_locality(cache, tasks);
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(p.node_of_task.at("task" + std::to_string(n)), 3 - n);
-  }
-  EXPECT_LT(p.transfer_seconds, p.round_robin_seconds);
-  EXPECT_GT(p.improvement(), 1.0);
-}
-
-TEST(Scheduler, RespectsSlotCapacity) {
-  cache::CacheConfig cc;
-  cc.num_nodes = 2;
-  cache::CacheManager cache(cc);
-  sim::VirtualClock clock;
-  cache::PlacementHint hint;
-  hint.target_node = 0;
-  for (int i = 0; i < 4; ++i) {
-    cache.put(clock, 0, "o" + std::to_string(i), std::string(100'000, 'x'),
-              hint);
-  }
-  // All data on node 0, but only 2 slots there.
-  std::vector<TaskSpec> tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.push_back({"t" + std::to_string(i), {"o" + std::to_string(i)}});
-  }
-  SchedulerOptions opts;
-  opts.slots_per_node = 2;
-  Placement p = schedule_by_locality(cache, tasks, opts);
-  int on0 = 0;
-  for (const auto& [task, node] : p.node_of_task) {
-    if (node == 0) ++on0;
-  }
-  EXPECT_EQ(on0, 2);
-}
-
-TEST(Scheduler, AbsentObjectsDoNotBias) {
-  cache::CacheConfig cc;
-  cc.num_nodes = 2;
-  cache::CacheManager cache(cc);
-  std::vector<TaskSpec> tasks = {{"t", {"missing-object"}}};
-  Placement p = schedule_by_locality(cache, tasks);
-  EXPECT_EQ(p.node_of_task.count("t"), 1u);
 }
 
 }  // namespace

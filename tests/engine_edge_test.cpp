@@ -234,44 +234,6 @@ TEST_F(EdgeFixture, CacheNodeFailureMidWorkloadRecovers) {
   EXPECT_EQ(vals.count(7.0), 1u);
 }
 
-TEST_F(EdgeFixture, WriteThroughOffFailureForcesRecompute) {
-  cache::CacheConfig cc;
-  cc.num_nodes = 2;
-  cc.dram_capacity_bytes = 8 << 20;
-  cc.write_through = false;  // volatile cache: failure loses artifacts
-  cache::CacheManager cache(cc);
-
-  EngineOptions opts;
-  opts.cache = &cache;
-  IdsEngine eng = make_engine(opts);
-  std::atomic<int> executions{0};
-  eng.registry().register_static(
-      "costly2", [&executions](const udf::UdfContext&,
-                               std::span<const expr::Value>) {
-        ++executions;
-        return udf::UdfResult{1.0, sim::from_seconds(10)};
-      });
-  Query q;
-  q.patterns.push_back({PatternTerm::Var("d"), term("type"), term("Doc")});
-  InvokeClause inv;
-  inv.udf = "costly2";
-  inv.args = {Expr::Var("d")};
-  inv.out_var = "v";
-  inv.use_cache = true;
-  inv.cache_prefix = "volatile/costly2";
-  q.invokes.push_back(inv);
-
-  (void)eng.execute(q);
-  EXPECT_EQ(executions, 8);
-  cache.fail_node(0);
-  cache.fail_node(1);
-  QueryResult again = eng.execute(q);
-  // Total miss falls back to re-executing the simulation — the paper's
-  // "last resort on a total miss".
-  EXPECT_EQ(executions, 16);
-  EXPECT_EQ(again.cache_misses, 8u);
-}
-
 TEST_F(EdgeFixture, IvfVectorClauseIsCheaperAndFindsNeighbours) {
   IdsEngine eng = make_engine();
   auto run = [&](int nprobe) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
 #include "core/engine.h"
@@ -283,7 +284,8 @@ TEST_F(EngineFixture, InvokeWithCacheHitsOnRepeat) {
   EngineOptions opts;
   opts.cache = &cache;
   IdsEngine eng = make_engine(opts);
-  int real_calls = 0;
+  // Ranks call the UDF from pool threads concurrently.
+  std::atomic<int> real_calls{0};
   eng.registry().register_static(
       "expensive", [&real_calls](const udf::UdfContext& ctx,
                                  std::span<const expr::Value> args) {

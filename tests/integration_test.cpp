@@ -1,17 +1,14 @@
 // Full-stack integration: the NCNPR workflow driven end-to-end through
-// the deployment surface — launcher session, datasets moved via the I/O
-// layer, UDFs imported through the client, the query submitted as TEXT,
-// docking backed by the global cache, and results consistent across an
-// export/import/re-execute cycle.
+// the deployment surface — launcher session, dataset generated into the
+// session's stores, the workflow UDFs registered on the session's engine,
+// the query submitted as TEXT, docking backed by the global cache, and
+// results consistent across a cold and a warm run.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "algo/graph_algorithms.h"
 #include "core/workflow.h"
 #include "deploy/service.h"
-#include "io/dataset_io.h"
 
 namespace ids {
 namespace {
@@ -57,31 +54,18 @@ TEST(Integration, TextQueryThroughDeploymentWithCache) {
   deploy::DatastoreClient client(&launcher, sid.value());
   deploy::IdsSession* session = launcher.session(sid.value());
 
-  // Build the dataset in a staging store, then move it into the session
-  // through the I/O layer — the laptop-to-cluster path.
-  graph::TripleStore staging(4);
-  store::FeatureStore staging_features(4);
-  datagen::generate_lifesci(tiny_config(), &staging, &staging_features,
-                            nullptr, nullptr);
-  staging.finalize();
-  std::stringstream triples_buf, features_buf;
-  ASSERT_TRUE(io::export_triples(staging, triples_buf).ok());
-  ASSERT_TRUE(
-      io::export_features(staging_features, staging.dict(), features_buf).ok());
-  ASSERT_TRUE(io::import_triples(&session->triples(), triples_buf).ok());
-  ASSERT_TRUE(io::import_features(&session->features(),
-                                  &session->triples().dict(), features_buf)
-                  .ok());
+  // Generate the dataset straight into the session's stores.
+  datagen::LifeSciDataset ds = datagen::generate_lifesci(
+      tiny_config(), &session->triples(), &session->features());
   session->triples().finalize();
 
   // Register the workflow UDFs against the *session's* stores. The helper
-  // expects an NcnprData, so import the target sequence and register via
+  // expects an NcnprData, so read the target sequence and register via
   // the engine directly (the same functions the client's import_udf path
   // exercises elsewhere).
   core::NcnprData shim;
-  auto seq = session->features().get_string(
-      *session->triples().dict().lookup(datagen::Vocab::kTargetProtein),
-      datagen::Feat::kSequence);
+  auto seq = session->features().get_string(ds.target_protein,
+                                            datagen::Feat::kSequence);
   ASSERT_TRUE(seq.has_value());
   shim.target_sequence = std::string(*seq);
   shim.triples = nullptr;  // not used by register_ncnpr_udfs

@@ -897,6 +897,39 @@ TEST_F(TelemetryEngineFixture, UntracedRunRecordsNothingButSameResult) {
   EXPECT_GT(tracer.size(), 0u);
 }
 
+// A full tracer drops each span exactly once: a stage whose span the cap
+// rejected must not be retried when the stage ends. Without INVOKE every
+// span of the query is attempted once, so a one-span tracer keeps the
+// root and drops all the others.
+TEST_F(TelemetryEngineFixture, BoundedTracerCountsEachDroppedSpanOnce) {
+  Query q = full_query();
+  q.invokes.clear();
+  auto run = [&](Tracer* tracer) {
+    MetricsRegistry reg;
+    EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.tracer = tracer;
+    opts.metrics = &reg;
+    IdsEngine eng(opts, triples_.get(), features_.get());
+    register_udfs(&eng);
+    return eng.execute(q);
+  };
+
+  Tracer unbounded;
+  QueryResult a = run(&unbounded);
+  MetricsRegistry tracer_reg;
+  Tracer bounded(/*max_spans=*/1, &tracer_reg);
+  QueryResult b = run(&bounded);
+
+  ASSERT_GT(a.stages.size(), 1u);
+  EXPECT_EQ(unbounded.dropped(), 0u);
+  EXPECT_EQ(bounded.size(), 1u);
+  EXPECT_EQ(bounded.dropped(), unbounded.size() - 1);
+  EXPECT_EQ(tracer_reg.counter("ids_trace_dropped_spans_total")->value(),
+            bounded.dropped());
+  EXPECT_EQ(a.total_seconds, b.total_seconds);
+}
+
 TEST(ThreadPoolMetrics, TasksFlowIntoGlobalRegistry) {
   MetricsRegistry& reg = MetricsRegistry::global();
   const std::uint64_t before = reg.counter("ids_threadpool_tasks_total")->value();

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the {Release, ASan+UBSan, TSan} × {build, ctest} matrix
-# plus the custom lint pass and the ids-analyzer static checks. Mirrors
-# .github/workflows/ci.yml for environments where GitHub Actions is
-# unavailable.
+# plus the custom lint pass, the ids-analyzer static checks and the
+# end-to-end benchmark self-test. Mirrors .github/workflows/ci.yml for
+# environments where GitHub Actions is unavailable.
 
 set -eu
 
@@ -77,5 +77,8 @@ bash tools/obs_smoke.sh build-ci-release/examples/ncnpr_workflow
 
 run_config build-ci-asan -DIDS_SANITIZE=address
 run_config build-ci-tsan -DIDS_SANITIZE=thread
+
+echo "==> perfbench self-test (Release build + seed-1 reference answers)"
+python3 perfbench/run.py --self-test
 
 echo "==> CI matrix green"
