@@ -369,18 +369,18 @@ void BM_ShuffleBatch(benchmark::State& state) {
   constexpr int kParts = 16;
   graph::SolutionTable table = make_shuffle_table(rows);
   std::vector<int> dsts(rows);
+  std::vector<graph::RowIndex> counts(kParts, 0);
+  graph::RowPartition partition;
   for (auto _ : state) {
     std::vector<graph::SolutionTable> out(kParts, table.empty_like());
     const auto& keys = table.id_col(0);
     for (std::size_t row = 0; row < rows; ++row) {
       dsts[row] = static_cast<int>(mix64(keys[row]) % kParts);
     }
-    auto lists = graph::SolutionTable::partition_rows(dsts, kParts);
-    for (int d = 0; d < kParts; ++d) {
-      if (!lists[static_cast<std::size_t>(d)].empty()) {
-        out[static_cast<std::size_t>(d)].append_rows_from(
-            table, lists[static_cast<std::size_t>(d)]);
-      }
+    graph::SolutionTable::partition_by_dst(dsts, counts, &partition);
+    for (std::size_t i = 0; i < partition.dsts.size(); ++i) {
+      out[static_cast<std::size_t>(partition.dsts[i])].append_rows_from(
+          table, partition.rows_of(i));
     }
     benchmark::DoNotOptimize(out);
   }

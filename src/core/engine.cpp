@@ -304,9 +304,10 @@ class QueryExecution {
 
   /// Moves every row to the rank returned by `dst_of`, charging the
   /// alpha-beta fabric model and synchronizing clocks (one all-to-all).
-  /// Batch kernel: destinations are computed into a flat array, partitioned
-  /// into per-destination index lists, and moved with one columnar gather
-  /// per (src, dst) pair instead of one schema-walk per row.
+  /// Batch kernel: destinations are computed into a flat array, grouped by
+  /// destination (CSR over scratch shared by all sources), and moved with
+  /// one columnar gather per (src, dst) pair that carries rows. Each
+  /// destination receives its sources in rank order, rows ascending.
   void shuffle_rows(
       const std::function<int(const SolutionTable&, std::size_t)>& dst_of) {
     if (!has_schema()) return;
@@ -318,17 +319,19 @@ class QueryExecution {
     const std::size_t row_bytes = parts_[0].row_bytes();
 
     std::vector<int> dsts;
+    std::vector<RowIndex> counts(static_cast<std::size_t>(p_), 0);
+    graph::RowPartition partition;
     for (int src = 0; src < p_; ++src) {
       auto& table = parts_[static_cast<std::size_t>(src)];
       const std::size_t n = table.num_rows();
       dsts.resize(n);
       for (std::size_t row = 0; row < n; ++row) dsts[row] = dst_of(table, row);
-      auto lists = SolutionTable::partition_rows(dsts, p_);
+      SolutionTable::partition_by_dst(dsts, counts, &partition);
 
       auto& ts = traffic[static_cast<std::size_t>(src)];
-      for (int dst = 0; dst < p_; ++dst) {
-        const auto& rows = lists[static_cast<std::size_t>(dst)];
-        if (rows.empty()) continue;
+      for (std::size_t i = 0; i < partition.dsts.size(); ++i) {
+        const int dst = partition.dsts[i];
+        const auto rows = partition.rows_of(i);
         out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
         if (dst == src) continue;
         rows_partitioned_ += rows.size();
@@ -617,12 +620,14 @@ class QueryExecution {
                               static_cast<std::uint64_t>(p_));
     });
     {
-      // Shuffle the build side with the same partitioning: per-destination
-      // index lists, then one gather per (src, dst) pair.
+      // Shuffle the build side with the same partitioning: group rows by
+      // destination, then one gather per (src, dst) pair.
       int bidx = build[0].id_var_index(join_var);
       std::vector<SolutionTable> shuffled(static_cast<std::size_t>(p_),
                                           build[0].empty_like());
       std::vector<int> dsts;
+      std::vector<RowIndex> counts(static_cast<std::size_t>(p_), 0);
+      graph::RowPartition partition;
       for (int src = 0; src < p_; ++src) {
         auto& t = build[static_cast<std::size_t>(src)];
         const auto& keys = t.id_col(bidx);
@@ -631,11 +636,10 @@ class QueryExecution {
           dsts[row] = static_cast<int>(mix64(keys[row]) %
                                        static_cast<std::uint64_t>(p_));
         }
-        auto lists = SolutionTable::partition_rows(dsts, p_);
-        for (int dst = 0; dst < p_; ++dst) {
-          const auto& rows = lists[static_cast<std::size_t>(dst)];
-          if (rows.empty()) continue;
-          shuffled[static_cast<std::size_t>(dst)].append_rows_from(t, rows);
+        SolutionTable::partition_by_dst(dsts, counts, &partition);
+        for (std::size_t i = 0; i < partition.dsts.size(); ++i) {
+          shuffled[static_cast<std::size_t>(partition.dsts[i])]
+              .append_rows_from(t, partition.rows_of(i));
         }
       }
       build = std::move(shuffled);
@@ -930,13 +934,17 @@ class QueryExecution {
       conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
     }
 
+    // One profile snapshot plans every rank; no UDF records happen until
+    // the filter stage evaluates.
+    const udf::ProfileSnapshot profile = profiler_->snapshot();
+
     // Per-rank conjunct orders (§2.4.3: per-rank reordering).
     std::vector<std::vector<std::size_t>> orders(
         static_cast<std::size_t>(p_));
     for (int r = 0; r < p_; ++r) {
       if (opts_.reorder_filters) {
         orders[static_cast<std::size_t>(r)] =
-            order_conjuncts(conjuncts, r, *profiler_);
+            order_conjuncts(conjuncts, r, profile);
       } else {
         orders[static_cast<std::size_t>(r)].resize(conjuncts.size());
         std::iota(orders[static_cast<std::size_t>(r)].begin(),
@@ -953,8 +961,8 @@ class QueryExecution {
       for (int r = 0; r < p_; ++r) {
         auto ru = static_cast<std::size_t>(r);
         counts[ru] = parts_[ru].num_rows();
-        double est = estimate_solution_seconds(conjuncts, orders[ru], r,
-                                               *profiler_);
+        double est =
+            estimate_solution_seconds(conjuncts, orders[ru], r, profile);
         if (est > 0.0) throughput[ru] = 1.0 / est;
       }
       // Ranks exchange their estimates (one small tree reduction).
@@ -1457,8 +1465,9 @@ std::string IdsEngine::explain(const Query& query) const {
       auto flat = expr::flatten_conjuncts(f);
       conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
     }
+    const udf::ProfileSnapshot profile = profiler_.snapshot();
     auto rank0 = options_.reorder_filters
-                     ? order_conjuncts(conjuncts, 0, profiler_)
+                     ? order_conjuncts(conjuncts, 0, profile)
                      : [&] {
                          std::vector<std::size_t> v(conjuncts.size());
                          std::iota(v.begin(), v.end(), 0);
@@ -1469,7 +1478,7 @@ std::string IdsEngine::explain(const Query& query) const {
     if (options_.reorder_filters) {
       std::set<std::vector<std::size_t>> distinct;
       for (int r = 0; r < options_.topology.num_ranks(); ++r) {
-        distinct.insert(order_conjuncts(conjuncts, r, profiler_));
+        distinct.insert(order_conjuncts(conjuncts, r, profile));
       }
       out += ", " + std::to_string(distinct.size()) +
              " distinct order(s) across ranks";
@@ -1478,7 +1487,7 @@ std::string IdsEngine::explain(const Query& query) const {
     }
     out += "):\n";
     for (std::size_t ci : rank0) {
-      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profiler_);
+      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profile);
       std::snprintf(buf, sizeof(buf),
                     "    %-48s est_cost=%.4gs reject_rate=%.2f\n",
                     conjuncts[ci].expr->to_string().c_str(), est.cost_seconds,

@@ -81,11 +81,11 @@ std::vector<std::size_t> order_patterns(
 }
 
 ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
-                                   const udf::UdfProfiler& profiler) {
+                                   const udf::ProfileSnapshot& profile) {
   ConjunctEstimate e;
   for (const auto& name : conjunct.udfs) {
-    e.cost_seconds += profiler.estimated_cost_seconds(rank, name);
-    const udf::UdfStats agg = profiler.aggregate(name);
+    e.cost_seconds += profile.estimated_cost_seconds(rank, name);
+    const udf::UdfStats agg = profile.aggregate(name);
     e.rejection_rate = std::max(e.rejection_rate, agg.rejection_rate());
   }
   return e;
@@ -93,11 +93,11 @@ ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
 
 std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
-    const udf::UdfProfiler& profiler, double similar_ratio) {
+    const udf::ProfileSnapshot& profile, double similar_ratio) {
   const std::size_t n = conjuncts.size();
   std::vector<ConjunctEstimate> est(n);
   for (std::size_t i = 0; i < n; ++i) {
-    est[i] = estimate_conjunct(conjuncts[i], rank, profiler);
+    est[i] = estimate_conjunct(conjuncts[i], rank, profile);
   }
   // "Similar computational time" (§2.4.3) is made transitive by bucketing
   // costs logarithmically at the similarity ratio; within a bucket, higher
@@ -122,15 +122,29 @@ std::vector<std::size_t> order_conjuncts(
 double estimate_solution_seconds(
     const std::vector<expr::Conjunct>& conjuncts,
     const std::vector<std::size_t>& order, int rank,
-    const udf::UdfProfiler& profiler) {
+    const udf::ProfileSnapshot& profile) {
   double total = 0.0;
   double reach_probability = 1.0;
   for (std::size_t idx : order) {
-    ConjunctEstimate e = estimate_conjunct(conjuncts[idx], rank, profiler);
+    ConjunctEstimate e = estimate_conjunct(conjuncts[idx], rank, profile);
     total += reach_probability * e.cost_seconds;
     reach_probability *= std::max(0.0, 1.0 - e.rejection_rate);
   }
   return total;
+}
+
+std::vector<std::size_t> order_conjuncts(
+    const std::vector<expr::Conjunct>& conjuncts, int rank,
+    const udf::UdfProfiler& profiler, double similar_ratio) {
+  return order_conjuncts(conjuncts, rank, profiler.snapshot(), similar_ratio);
+}
+
+double estimate_solution_seconds(
+    const std::vector<expr::Conjunct>& conjuncts,
+    const std::vector<std::size_t>& order, int rank,
+    const udf::UdfProfiler& profiler) {
+  return estimate_solution_seconds(conjuncts, order, rank,
+                                   profiler.snapshot());
 }
 
 }  // namespace ids::core

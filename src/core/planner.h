@@ -44,20 +44,30 @@ struct ConjunctEstimate {
 };
 
 ConjunctEstimate estimate_conjunct(const expr::Conjunct& conjunct, int rank,
-                                   const udf::UdfProfiler& profiler);
+                                   const udf::ProfileSnapshot& profile);
 
 /// Reorders `conjuncts` for `rank`: ascending cost, ties (within
 /// `similar_ratio`) broken by descending rejection rate; equal conjuncts
 /// keep their original relative order (stable).
 std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
-    const udf::UdfProfiler& profiler, double similar_ratio = 1.2);
+    const udf::ProfileSnapshot& profile, double similar_ratio = 1.2);
 
 /// Estimated seconds for `rank` to push one solution through the chain in
 /// the given order: conjunct c's cost is discounted by the probability
 /// that evaluation reaches it (product of earlier pass rates). This is the
 /// "time to evaluate a single solution" estimate re-balancing exchanges
 /// (§2.4.2).
+double estimate_solution_seconds(
+    const std::vector<expr::Conjunct>& conjuncts,
+    const std::vector<std::size_t>& order, int rank,
+    const udf::ProfileSnapshot& profile);
+
+// Live-profiler entry points: each takes one snapshot (O(ranks)) and
+// delegates. Callers planning many ranks take one snapshot themselves.
+std::vector<std::size_t> order_conjuncts(
+    const std::vector<expr::Conjunct>& conjuncts, int rank,
+    const udf::UdfProfiler& profiler, double similar_ratio = 1.2);
 double estimate_solution_seconds(
     const std::vector<expr::Conjunct>& conjuncts,
     const std::vector<std::size_t>& order, int rank,

@@ -123,23 +123,33 @@ void SolutionTable::append_prefix_from(const SolutionTable& other,
   }
 }
 
-std::vector<std::vector<RowIndex>> SolutionTable::partition_rows(
-    std::span<const int> dst_of_row, int num_dsts) {
+void SolutionTable::partition_by_dst(std::span<const int> dst_of_row,
+                                     std::span<RowIndex> counts,
+                                     RowPartition* out) {
   IDS_CHECK(dst_of_row.size() < 0xffffffffull)
       << "row index space is 32-bit";
-  // Counting pass first so each destination list is one exact allocation.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(num_dsts), 0);
-  for (int d : dst_of_row) ++counts[static_cast<std::size_t>(d)];
-  std::vector<std::vector<RowIndex>> lists(static_cast<std::size_t>(num_dsts));
-  for (int d = 0; d < num_dsts; ++d) {
-    lists[static_cast<std::size_t>(d)].reserve(
-        counts[static_cast<std::size_t>(d)]);
+  out->dsts.clear();
+  for (int d : dst_of_row) {
+    if (counts[static_cast<std::size_t>(d)]++ == 0) out->dsts.push_back(d);
   }
+  std::sort(out->dsts.begin(), out->dsts.end());
+  // Exclusive prefix sums over the visited destinations; each count slot
+  // becomes its destination's write cursor.
+  out->offsets.resize(out->dsts.size() + 1);
+  RowIndex begin = 0;
+  for (std::size_t i = 0; i < out->dsts.size(); ++i) {
+    RowIndex& slot = counts[static_cast<std::size_t>(out->dsts[i])];
+    out->offsets[i] = begin;
+    begin += slot;
+    slot = out->offsets[i];
+  }
+  out->offsets.back() = begin;
+  out->rows.resize(dst_of_row.size());
   for (std::size_t r = 0; r < dst_of_row.size(); ++r) {
-    lists[static_cast<std::size_t>(dst_of_row[r])].push_back(
-        static_cast<RowIndex>(r));
+    out->rows[counts[static_cast<std::size_t>(dst_of_row[r])]++] =
+        static_cast<RowIndex>(r);
   }
-  return lists;
+  for (int d : out->dsts) counts[static_cast<std::size_t>(d)] = 0;
 }
 
 int SolutionTable::add_num_var(std::string name) {

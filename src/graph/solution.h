@@ -25,6 +25,20 @@ namespace ids::graph {
 /// far below 2^32 (parts are per-rank slices of an in-memory table).
 using RowIndex = std::uint32_t;
 
+/// Row positions grouped by destination, CSR style: dsts lists the
+/// destinations that receive rows, ascending, and group i holds the rows
+/// rows[offsets[i], offsets[i+1]) bound for dsts[i], ascending.
+struct RowPartition {
+  std::vector<int> dsts;
+  std::vector<RowIndex> offsets;  // dsts.size() + 1 bounds into rows
+  std::vector<RowIndex> rows;
+
+  std::span<const RowIndex> rows_of(std::size_t i) const {
+    return std::span<const RowIndex>(rows).subspan(
+        offsets[i], offsets[i + 1] - offsets[i]);
+  }
+};
+
 class SolutionTable {
  public:
   SolutionTable() = default;
@@ -85,12 +99,15 @@ class SolutionTable {
                           std::span<const RowIndex> rows)
       IDS_INVALIDATES(id_cols_);
 
-  /// Splits row positions by destination: partition_rows(dst, p)[d] lists
-  /// the rows r (ascending) with dst[r] == d. The index lists feed
-  /// append_rows_from, turning a row-at-a-time shuffle into one gather per
-  /// (source, destination) pair.
-  static std::vector<std::vector<RowIndex>> partition_rows(
-      std::span<const int> dst_of_row, int num_dsts);
+  /// Groups row positions by destination (CSR, see RowPartition),
+  /// visiting only the k destinations that occur: O(rows + k log k).
+  /// `counts` is scratch with one slot per destination; it must be all
+  /// zero on entry and is all zero again on return, so one array serves
+  /// every source rank of a shuffle. The groups feed append_rows_from,
+  /// turning a row-at-a-time shuffle into one gather per (source,
+  /// destination) pair.
+  static void partition_by_dst(std::span<const int> dst_of_row,
+                               std::span<RowIndex> counts, RowPartition* out);
 
   /// Mutable column access for batch kernels that write new bindings
   /// directly (see append_prefix_from). Callers must leave every column at

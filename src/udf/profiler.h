@@ -11,12 +11,15 @@
 //
 // Locking contract: the store is sharded by rank, one mutex per shard.
 // A rank's record_* calls only touch its own shard (uncontended on the
-// hot path), while cross-rank readers (aggregate, estimated cost) lock
-// each shard in turn — so the planner may read concurrently with ranks
-// still recording, which is exactly what solution re-balancing does.
+// hot path). Planning does not read the live shards: it takes one
+// ProfileSnapshot per query, which copies every shard once (one lock
+// each), and then reads the copy without locks. The snapshot is exact
+// because records happen only while FILTER and INVOKE evaluate, after
+// planning.
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +56,39 @@ struct UdfStats {
   }
 };
 
+/// Immutable copy of every rank's stats, taken by UdfProfiler::snapshot():
+/// a dense ranks x UDFs array indexed by interned UDF id, plus per-UDF
+/// totals. Planning reads one per query, so its per-rank estimates cost
+/// O(1) each instead of a scan over all ranks.
+class ProfileSnapshot {
+ public:
+  /// One UDF's stats on one rank; zeroed stats if never seen there.
+  UdfStats get(int rank, std::string_view name) const;
+
+  /// Stats aggregated over all ranks.
+  UdfStats aggregate(std::string_view name) const;
+
+  /// Executions a rank needs before its own mean is fully trusted. Below
+  /// this, the estimate shrinks toward the cross-rank aggregate: with a
+  /// handful of samples, per-rank means mostly reflect *which rows* the
+  /// rank happened to evaluate (data skew), not how fast the rank is, and
+  /// trusting them would let the re-balancer assign nearly all solutions
+  /// to a rank whose one sampled row was cheap.
+  static constexpr std::uint64_t kFullConfidenceExecs = 16;
+
+  /// Estimated mean cost of one execution on `rank`: the rank's own mean,
+  /// shrunk toward the cross-rank aggregate by sample count. Falls back to
+  /// the aggregate (then 0) for unseen UDFs.
+  double estimated_cost_seconds(int rank, std::string_view name) const;
+
+ private:
+  friend class UdfProfiler;
+
+  std::map<std::string, std::size_t, std::less<>> ids_;  // name -> UDF id
+  std::vector<UdfStats> totals_;    // per UDF id
+  std::vector<UdfStats> per_rank_;  // rank-major, ranks x ids_.size()
+};
+
 class UdfProfiler {
  public:
   /// `metrics` mirrors every record into the registry — an
@@ -68,91 +104,46 @@ class UdfProfiler {
 
   /// Records one execution on `rank`. Safe to call concurrently from
   /// different ranks, and concurrently with cross-rank readers.
-  void record_exec(int rank, std::string_view name, sim::Nanos cost) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->histogram("ids_udf_exec_seconds",
-                      telemetry::latency_seconds_buckets(),
-                      {{"udf", std::string(name)}})
-          ->observe(sim::to_seconds(cost));
-    }
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    auto& s = shard.stats[std::string(name)];
-    ++s.execs;
-    s.total_time += cost;
-  }
+  void record_exec(int rank, std::string_view name, sim::Nanos cost);
 
   /// Records that `name`'s evaluation rejected an expression on `rank`.
-  void record_reject(int rank, std::string_view name) {
-    if (metrics_ != nullptr) {
-      metrics_
-          ->counter("ids_udf_rejects_total", {{"udf", std::string(name)}})
-          ->inc();
-    }
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    ++shard.stats[std::string(name)].rejects;
-  }
+  void record_reject(int rank, std::string_view name);
 
   /// Snapshot of one UDF's stats on one rank; zeroed stats if never seen
-  /// there. (A snapshot, not a pointer: the entry may be updated
+  /// there. (A copy, not a pointer: the entry may be updated
   /// concurrently by the owning rank.)
-  UdfStats get(int rank, std::string_view name) const {
-    Shard& shard = per_rank_[static_cast<std::size_t>(rank)];
-    MutexLock lock(shard.mutex);
-    auto it = shard.stats.find(std::string(name));
-    return it == shard.stats.end() ? UdfStats{} : it->second;
-  }
+  UdfStats get(int rank, std::string_view name) const;
 
-  /// Stats aggregated over all ranks.
-  UdfStats aggregate(std::string_view name) const {
-    const std::string key(name);
-    UdfStats out;
-    for (Shard& shard : per_rank_) {
-      MutexLock lock(shard.mutex);
-      auto it = shard.stats.find(key);
-      if (it != shard.stats.end()) out.merge(it->second);
-    }
-    return out;
-  }
+  /// Stats aggregated over all ranks (locks each shard in turn).
+  UdfStats aggregate(std::string_view name) const;
 
-  /// Executions a rank needs before its own mean is fully trusted. Below
-  /// this, the estimate shrinks toward the cross-rank aggregate: with a
-  /// handful of samples, per-rank means mostly reflect *which rows* the
-  /// rank happened to evaluate (data skew), not how fast the rank is, and
-  /// trusting them would let the re-balancer assign nearly all solutions
-  /// to a rank whose one sampled row was cheap.
-  static constexpr std::uint64_t kFullConfidenceExecs = 16;
+  /// Copies every rank's stats, locking each shard once.
+  ProfileSnapshot snapshot() const;
 
-  /// Estimated mean cost of one execution on `rank`: the rank's own mean,
-  /// shrunk toward the cross-rank aggregate by sample count. Falls back to
-  /// the aggregate (then 0) for unseen UDFs.
-  double estimated_cost_seconds(int rank, std::string_view name) const {
-    UdfStats agg = aggregate(name);
-    double agg_mean = agg.mean_cost_seconds();
-    UdfStats s = get(rank, name);
-    if (s.execs == 0) return agg_mean;
-    double w = std::min(1.0, static_cast<double>(s.execs) /
-                                 static_cast<double>(kFullConfidenceExecs));
-    return (1.0 - w) * agg_mean + w * s.mean_cost_seconds();
-  }
-
-  void clear() {
-    for (Shard& shard : per_rank_) {
-      MutexLock lock(shard.mutex);
-      shard.stats.clear();
-    }
-  }
+  void clear();
 
  private:
+  /// A rank's registry instruments for one UDF, resolved on its first
+  /// record there; afterwards a record touches only their atomics.
+  struct Instruments {
+    telemetry::Histogram* exec_seconds = nullptr;
+    telemetry::Counter* rejects = nullptr;
+  };
+
   struct Shard {
     mutable Mutex mutex;
     std::unordered_map<std::string, UdfStats> stats IDS_GUARDED_BY(mutex);
+    std::unordered_map<std::string, Instruments> instruments
+        IDS_GUARDED_BY(mutex);
   };
 
+  Shard& shard_of(int rank) const {
+    return per_rank_[static_cast<std::size_t>(rank)];
+  }
+
   telemetry::MetricsRegistry* metrics_;
-  // mutable: const readers (get/aggregate) still lock the shard mutexes.
+  // mutable: const readers (get/aggregate/snapshot) still lock the shard
+  // mutexes.
   mutable std::vector<Shard> per_rank_;
 };
 

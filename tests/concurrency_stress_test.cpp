@@ -213,9 +213,9 @@ TEST(ConcurrencyStress, UdfRegistryRegisterFindReload) {
 }
 
 TEST(ConcurrencyStress, ProfilerCountersFeedRebalancerUnderLoad) {
-  // Ranks record execs while the planner thread concurrently reads
-  // aggregates and runs re-balancing decisions off the live counters —
-  // the paper's §2.4.1/§2.4.2 loop, compressed.
+  // Ranks record execs while the planner thread concurrently snapshots
+  // the profile and runs re-balancing decisions off each snapshot — the
+  // paper's §2.4.1/§2.4.2 loop, compressed.
   constexpr int kRanks = kThreads;
   udf::UdfProfiler prof(kRanks);
   std::atomic<bool> stop{false};
@@ -223,8 +223,9 @@ TEST(ConcurrencyStress, ProfilerCountersFeedRebalancerUnderLoad) {
   std::thread planner([&] {
     while (!stop.load()) {
       std::vector<double> throughput(kRanks, 0.0);
+      const udf::ProfileSnapshot snap = prof.snapshot();
       for (int r = 0; r < kRanks; ++r) {
-        double mean = prof.estimated_cost_seconds(r, "udf");
+        double mean = snap.estimated_cost_seconds(r, "udf");
         throughput[static_cast<std::size_t>(r)] = mean > 0.0 ? 1.0 / mean : 0.0;
       }
       core::RebalanceDecision d = core::decide_rebalance(

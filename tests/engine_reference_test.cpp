@@ -548,25 +548,70 @@ TEST(BatchPrimitives, AppendRowRangeFromMatchesPerRowLoop) {
   EXPECT_EQ(batch.num_rows(), std::size_t{76});
 }
 
-TEST(BatchPrimitives, PartitionRowsIsAStablePartition) {
-  Rng rng(33);
-  const int parts = 7;
-  std::vector<int> dst;
-  for (int i = 0; i < 1000; ++i) {
-    dst.push_back(static_cast<int>(rng.next_below(parts)));
-  }
-  auto lists = SolutionTable::partition_rows(dst, parts);
-  ASSERT_EQ(lists.size(), static_cast<std::size_t>(parts));
+// Partitions `dst` with the given (shared) scratch and checks the CSR
+// contract: the groups are exactly the destinations that occur, ascending
+// and non-empty; each row appears exactly once, ascending within its
+// destination's group; and the scratch comes back all zero.
+void expect_csr_partition(const std::vector<int>& dst,
+                          std::vector<RowIndex>* counts,
+                          graph::RowPartition* partition) {
+  SolutionTable::partition_by_dst(dst, *counts, partition);
 
-  std::size_t total = 0;
-  for (int d = 0; d < parts; ++d) {
-    const auto& rows = lists[static_cast<std::size_t>(d)];
-    total += rows.size();
-    // Every listed row maps to d, in ascending (stable) order.
+  std::set<int> occurring(dst.begin(), dst.end());
+  EXPECT_EQ(partition->dsts,
+            std::vector<int>(occurring.begin(), occurring.end()));
+  ASSERT_EQ(partition->offsets.size(), partition->dsts.size() + 1);
+  EXPECT_EQ(partition->offsets.front(), 0u);
+  EXPECT_EQ(partition->offsets.back(), dst.size());
+
+  std::vector<int> seen(dst.size(), 0);
+  for (std::size_t i = 0; i < partition->dsts.size(); ++i) {
+    auto rows = partition->rows_of(i);
+    EXPECT_FALSE(rows.empty());
     EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
-    for (RowIndex r : rows) EXPECT_EQ(dst[r], d);
+    for (RowIndex r : rows) {
+      ASSERT_LT(r, dst.size());
+      EXPECT_EQ(dst[r], partition->dsts[i]);
+      ++seen[r];
+    }
   }
-  EXPECT_EQ(total, dst.size());  // a partition: each row exactly once
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                          [](int n) { return n == 1; }));
+  EXPECT_TRUE(std::all_of(counts->begin(), counts->end(),
+                          [](RowIndex c) { return c == 0; }));
+}
+
+TEST(BatchPrimitives, PartitionByDstIsASparseStableCsr) {
+  Rng rng(33);
+  const int parts = 64;
+  // One scratch array and one partition serve every call, as they serve
+  // every source rank of a shuffle.
+  std::vector<RowIndex> counts(parts, 0);
+  graph::RowPartition partition;
+  for (int round = 0; round < 5; ++round) {
+    // Rows go to every third destination only; the rest must not appear.
+    std::vector<int> dst;
+    for (int i = 0; i < 1000; ++i) {
+      dst.push_back(3 * static_cast<int>(rng.next_below(parts / 3)));
+    }
+    expect_csr_partition(dst, &counts, &partition);
+  }
+  expect_csr_partition({}, &counts, &partition);  // no rows
+  EXPECT_TRUE(partition.dsts.empty());
+  expect_csr_partition(std::vector<int>(300, 17), &counts, &partition);
+  EXPECT_EQ(partition.dsts, (std::vector<int>{17}));  // all to one
+}
+
+TEST(BatchPrimitives, PartitionByDstWithFarMoreDestinationsThanRows) {
+  std::vector<RowIndex> counts(std::size_t{1} << 20, 0);
+  graph::RowPartition partition;
+  expect_csr_partition({900000, 5, 900000, 123456, 5, 0, (1 << 20) - 1},
+                       &counts, &partition);
+  EXPECT_EQ(partition.dsts,
+            (std::vector<int>{0, 5, 123456, 900000, (1 << 20) - 1}));
+  EXPECT_EQ(std::vector<RowIndex>(partition.rows_of(1).begin(),
+                                  partition.rows_of(1).end()),
+            (std::vector<RowIndex>{1, 4}));
 }
 
 TEST(BatchPrimitives, AppendPrefixFromMatchesWidenedPerRowBuild) {

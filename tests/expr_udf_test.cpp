@@ -284,23 +284,26 @@ TEST(Profiler, AggregateMergesRanks) {
 TEST(Profiler, EstimateFallsBackToAggregate) {
   udf::UdfProfiler prof(2);
   prof.record_exec(0, "f", sim::from_seconds(2.0));
+  const udf::ProfileSnapshot snap = prof.snapshot();
   // Rank 1 has no samples: it borrows the cross-rank aggregate.
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "f"), 2.0);
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "unknown"), 0.0);
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "f"), 2.0);
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "unknown"), 0.0);
 }
 
 TEST(Profiler, SparseRankEstimateShrinksTowardAggregate) {
   udf::UdfProfiler prof(2);
   // Rank 0 saw one unusually expensive row; rank 1 saw many cheap ones.
   prof.record_exec(0, "f", sim::from_seconds(10.0));
-  for (std::uint64_t i = 0; i < udf::UdfProfiler::kFullConfidenceExecs; ++i) {
+  for (std::uint64_t i = 0; i < udf::ProfileSnapshot::kFullConfidenceExecs;
+       ++i) {
     prof.record_exec(1, "f", sim::from_seconds(1.0));
   }
-  double agg = prof.aggregate("f").mean_cost_seconds();
+  const udf::ProfileSnapshot snap = prof.snapshot();
+  double agg = snap.aggregate("f").mean_cost_seconds();
   // Rank 0's single sample barely moves it off the aggregate...
-  EXPECT_LT(prof.estimated_cost_seconds(0, "f"), agg + 1.0);
+  EXPECT_LT(snap.estimated_cost_seconds(0, "f"), agg + 1.0);
   // ...while rank 1's well-sampled mean is trusted in full.
-  EXPECT_DOUBLE_EQ(prof.estimated_cost_seconds(1, "f"), 1.0);
+  EXPECT_DOUBLE_EQ(snap.estimated_cost_seconds(1, "f"), 1.0);
 }
 
 }  // namespace

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "common/rng.h"
 #include "core/planner.h"
 #include "core/rebalancer.h"
 #include "expr/chain.h"
@@ -213,7 +218,7 @@ TEST(ConjunctOrdering, PerRankOrdersDiffer) {
   udf::UdfProfiler prof(2);
   // Rank 0 finds f cheap; rank 1 finds f expensive. Enough samples that
   // the shrinkage toward the aggregate trusts the per-rank means.
-  for (std::uint64_t i = 0; i < udf::UdfProfiler::kFullConfidenceExecs; ++i) {
+  for (std::uint64_t i = 0; i < udf::ProfileSnapshot::kFullConfidenceExecs; ++i) {
     prof.record_exec(0, "f", sim::from_millis(1));
     prof.record_exec(1, "f", sim::from_seconds(10));
     prof.record_exec(0, "g", sim::from_seconds(1));
@@ -246,6 +251,128 @@ TEST(ConjunctOrdering, SolutionTimeEstimateDiscountsBySelectivity) {
   double est = estimate_solution_seconds(conj, order, 0, prof);
   // 1.0 + 0.1 * 10.0 = 2.0 (the second conjunct runs only 10% of the time).
   EXPECT_NEAR(est, 2.0, 1e-9);
+}
+
+// --- Profile snapshot ---------------------------------------------------------
+
+// The planner's estimates as computed before snapshots existed: straight
+// off the live profiler's get()/aggregate(), one scan per call. The
+// snapshot-based planner must reproduce them bit for bit.
+double reference_cost(const udf::UdfProfiler& prof, int rank,
+                      const std::string& name) {
+  udf::UdfStats agg = prof.aggregate(name);
+  double agg_mean = agg.mean_cost_seconds();
+  udf::UdfStats s = prof.get(rank, name);
+  if (s.execs == 0) return agg_mean;
+  double w = std::min(
+      1.0, static_cast<double>(s.execs) /
+               static_cast<double>(udf::ProfileSnapshot::kFullConfidenceExecs));
+  return (1.0 - w) * agg_mean + w * s.mean_cost_seconds();
+}
+
+ConjunctEstimate reference_conjunct(const udf::UdfProfiler& prof, int rank,
+                                    const expr::Conjunct& c) {
+  ConjunctEstimate e;
+  for (const auto& name : c.udfs) {
+    e.cost_seconds += reference_cost(prof, rank, name);
+    e.rejection_rate =
+        std::max(e.rejection_rate, prof.aggregate(name).rejection_rate());
+  }
+  return e;
+}
+
+std::vector<std::size_t> reference_order(
+    const udf::UdfProfiler& prof, int rank,
+    const std::vector<expr::Conjunct>& conj) {
+  std::vector<ConjunctEstimate> est;
+  for (const auto& c : conj) est.push_back(reference_conjunct(prof, rank, c));
+  auto bucket_of = [](double cost) {
+    if (cost <= 0.0) return std::numeric_limits<int>::min();
+    return static_cast<int>(std::floor(std::log(cost) / std::log(1.2)));
+  };
+  std::vector<std::size_t> order(conj.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     int ba = bucket_of(est[a].cost_seconds);
+                     int bb = bucket_of(est[b].cost_seconds);
+                     if (ba != bb) return ba < bb;
+                     return est[a].rejection_rate > est[b].rejection_rate;
+                   });
+  return order;
+}
+
+double reference_solution_seconds(const udf::UdfProfiler& prof, int rank,
+                                  const std::vector<expr::Conjunct>& conj,
+                                  const std::vector<std::size_t>& order) {
+  double total = 0.0;
+  double reach = 1.0;
+  for (std::size_t idx : order) {
+    ConjunctEstimate e = reference_conjunct(prof, rank, conj[idx]);
+    total += reach * e.cost_seconds;
+    reach *= std::max(0.0, 1.0 - e.rejection_rate);
+  }
+  return total;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_stats(const udf::UdfStats& a, const udf::UdfStats& b) {
+  return a.execs == b.execs && a.total_time == b.total_time &&
+         a.rejects == b.rejects;
+}
+
+TEST(ProfileSnapshot, MatchesLiveProfilerAndReferencePlanner) {
+  constexpr int kRanks = 9;
+  const std::vector<std::string> recorded = {"a", "b", "c", "d"};
+  udf::UdfProfiler prof(kRanks);
+  Rng rng(77);
+  for (int r = 0; r < kRanks; ++r) {
+    if (r == 4 || r == 7) continue;  // ranks with no records at all
+    for (const auto& name : recorded) {
+      // From unseen through sparse (below full confidence) to well sampled.
+      const auto execs = rng.next_below(40);
+      for (std::uint64_t i = 0; i < execs; ++i) {
+        prof.record_exec(r, name,
+                         sim::from_seconds(rng.uniform(1e-4, 2.0)));
+        if (rng.next_below(3) == 0) prof.record_reject(r, name);
+      }
+    }
+  }
+  const udf::ProfileSnapshot snap = prof.snapshot();
+
+  std::vector<std::string> names = recorded;
+  names.push_back("ghost");  // no rank has seen it
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(same_stats(snap.aggregate(name), prof.aggregate(name)));
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_TRUE(same_stats(snap.get(r, name), prof.get(r, name)));
+      EXPECT_TRUE(same_bits(snap.estimated_cost_seconds(r, name),
+                            reference_cost(prof, r, name)));
+    }
+  }
+
+  auto conj = [](std::vector<std::string> udfs) {
+    return expr::Conjunct{Expr::Constant(true), std::move(udfs)};
+  };
+  const std::vector<expr::Conjunct> chain = {
+      conj({"a"}),      conj({"b", "c"}), conj({"ghost"}), conj({"d"}),
+      conj({}),         conj({"c"}),      conj({"a", "ghost", "d"}),
+  };
+  for (int r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE(r);
+    const auto order = order_conjuncts(chain, r, snap);
+    EXPECT_EQ(order, reference_order(prof, r, chain));
+    EXPECT_EQ(order, order_conjuncts(chain, r, prof));  // live entry point
+    const double est = estimate_solution_seconds(chain, order, r, snap);
+    EXPECT_TRUE(
+        same_bits(est, reference_solution_seconds(prof, r, chain, order)));
+    EXPECT_TRUE(
+        same_bits(est, estimate_solution_seconds(chain, order, r, prof)));
+  }
 }
 
 }  // namespace

@@ -728,6 +728,35 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   EXPECT_EQ(reg.counter("ids_engine_queries_total")->value(), 1u);
 }
 
+TEST_F(TelemetryEngineFixture, UdfInstrumentsMatchProfilerPerUdf) {
+  MetricsRegistry reg;
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.metrics = &reg;
+  IdsEngine eng(opts, triples_.get(), features_.get());
+  register_udfs(&eng);
+
+  Query q = full_query();
+  q.invokes[0].use_cache = false;  // no cache configured in this engine
+  // The second run records through the instruments the first resolved.
+  for (int run = 0; run < 2; ++run) (void)eng.execute(q);
+
+  // Every exec and reject the profiler holds reached the registry, once.
+  for (const char* name : {"coarse", "score"}) {
+    SCOPED_TRACE(name);
+    const udf::UdfStats agg = eng.profiler().aggregate(name);
+    EXPECT_GT(agg.execs, 0u);
+    EXPECT_EQ(reg.histogram("ids_udf_exec_seconds", latency_seconds_buckets(),
+                            {{"udf", name}})
+                  ->count(),
+              agg.execs);
+    EXPECT_EQ(reg.counter("ids_udf_rejects_total", {{"udf", name}})->value(),
+              agg.rejects);
+  }
+  // The filter rejected someone, so the reject counter is really pinned.
+  EXPECT_GT(eng.profiler().aggregate("coarse").rejects, 0u);
+}
+
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   Tracer tracer;
   MetricsRegistry reg;
