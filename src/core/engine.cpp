@@ -1035,7 +1035,9 @@ class QueryExecution {
       auto& t = parts_[ru];
       std::vector<char> keep(t.num_rows(), 1);
       double rank_cost = 0.0;  // nanoseconds, multiplier-weighted
-      // One context per rank; only the row cursor moves in the loop.
+      // One context per rank, so each UDF call site is resolved (and its
+      // module load charged) once per rank and stage; only the row cursor
+      // moves in the loop.
       expr::EvalContext ctx;
       ctx.row = {&t, 0};
       ctx.registry = registry_;
@@ -1188,6 +1190,10 @@ class QueryExecution {
       ctx.speed_factor = speed(r);
       std::vector<expr::Value> args;
       args.reserve(inv.args.size());
+      // Like a FILTER call site, the rank asks for the module import once
+      // per stage, on its first miss; a force_reload applies from the
+      // next stage.
+      bool load_charged = false;
       for (std::size_t row = 0; row < t.num_rows(); ++row) {
         ctx.row.row = row;
         ctx.cost = 0;
@@ -1228,7 +1234,10 @@ class QueryExecution {
           // simulation, the paper's "last resort on a total miss").
           sim::Nanos xv0 = clocks_.at(ru).now();
           std::uint64_t xw0 = rank_wall_start();
-          ctx.cost += registry_->charge_module_load(r, *info);
+          if (!load_charged) {
+            ctx.cost += registry_->charge_module_load(r, *info);
+            load_charged = true;
+          }
           const udf::UdfResult res = [&] {
             // Attribute model execution to the UDF by name; UdfInfo
             // outlives every query, so the pointer stays valid for the

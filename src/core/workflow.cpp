@@ -62,31 +62,27 @@ void register_ncnpr_udfs(IdsEngine* engine, const NcnprData& data,
 
   // Shared workflow state captured by the UDF closures. Building the
   // receptor runs the structure-prediction step once (the AlphaFold leg of
-  // the workflow).
-  std::string target_seq = data.target_sequence;
+  // the workflow). The SW scorer starts empty and memoizes each sequence
+  // the first time a row asks about it; it lives as long as this
+  // registration's closure.
   auto structure =
       std::make_shared<models::PredictedStructure>(
-          models::predict_structure(target_seq));
+          models::predict_structure(data.target_sequence));
   auto docking_engine = std::make_shared<models::DockingEngine>(
       models::receptor_from_structure(*structure), docking);
   auto dtba_model = std::make_shared<models::DtbaModel>();
+  auto sw_scorer = std::make_shared<models::TargetScorer>(data.target_sequence);
 
   registry.register_dynamic(
       "ncnpr", "sw_similarity",
-      [target_seq, costs](const udf::UdfContext& ctx,
-                          std::span<const Value> args) -> udf::UdfResult {
+      [sw_scorer, costs](const udf::UdfContext& ctx,
+                         std::span<const Value> args) -> udf::UdfResult {
         auto seq = sequence_of(ctx, args.empty() ? Value{} : args[0]);
         if (!seq) return {expr::null_value(), costs.sw_cost(1)};
-        models::SwResult r = models::smith_waterman(target_seq, *seq);
-        int sa = models::self_score(target_seq);
-        int sb = models::self_score(*seq);
-        double sim = 0.0;
-        if (sa > 0 && sb > 0) {
-          sim = static_cast<double>(r.score) /
-                std::sqrt(static_cast<double>(sa) * static_cast<double>(sb));
-          sim = std::clamp(sim, 0.0, 1.0);
-        }
-        return {sim, costs.sw_cost(r.cells)};
+        // Every row is still charged its alignment's modeled cost; only
+        // the host-side alignment is shared between rows.
+        models::TargetScorer::Score s = sw_scorer->score(*seq);
+        return {s.similarity, costs.sw_cost(s.cells)};
       },
       load_cost);
 

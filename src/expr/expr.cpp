@@ -1,5 +1,7 @@
 #include "expr/expr.h"
 
+#include <algorithm>
+
 #include "store/feature_store.h"
 #include "telemetry/profiler.h"
 
@@ -84,6 +86,24 @@ void Expr::collect_udfs(std::vector<std::string>* out) const {
   for (const auto& c : children_) c->collect_udfs(out);
 }
 
+namespace {
+
+// "(lhs op rhs)". Built by appending: GCC 12 reports a false -Wrestrict
+// on "literal" + std::string chains once they are inlined.
+std::string binary_to_string(const Expr& lhs, const char* op,
+                             const Expr& rhs) {
+  std::string s = "(";
+  s += lhs.to_string();
+  s += ' ';
+  s += op;
+  s += ' ';
+  s += rhs.to_string();
+  s += ')';
+  return s;
+}
+
+}  // namespace
+
 std::string Expr::to_string() const {
   switch (kind_) {
     case ExprKind::kConst:
@@ -94,20 +114,19 @@ std::string Expr::to_string() const {
       return children_[0]->to_string() + "." + name_;
     case ExprKind::kCompare: {
       static constexpr const char* ops[] = {"==", "!=", "<", "<=", ">", ">="};
-      return "(" + children_[0]->to_string() + " " +
-             ops[static_cast<int>(cmp_)] + " " + children_[1]->to_string() + ")";
+      return binary_to_string(*children_[0], ops[static_cast<int>(cmp_)],
+                              *children_[1]);
     }
     case ExprKind::kLogical: {
       if (logic_ == LogicOp::kNot) return "!(" + children_[0]->to_string() + ")";
-      const char* op = logic_ == LogicOp::kAnd ? " && " : " || ";
-      return "(" + children_[0]->to_string() + op + children_[1]->to_string() +
-             ")";
+      return binary_to_string(*children_[0],
+                              logic_ == LogicOp::kAnd ? "&&" : "||",
+                              *children_[1]);
     }
     case ExprKind::kArith: {
       static constexpr const char* ops[] = {"+", "-", "*", "/"};
-      return "(" + children_[0]->to_string() + " " +
-             ops[static_cast<int>(arith_)] + " " + children_[1]->to_string() +
-             ")";
+      return binary_to_string(*children_[0], ops[static_cast<int>(arith_)],
+                              *children_[1]);
     }
     case ExprKind::kUdfCall: {
       std::string s = name_ + "(";
@@ -204,7 +223,12 @@ Value eval_arith(const Expr& e, EvalContext& ctx) {
 
 Value eval_udf(const Expr& e, EvalContext& ctx) {
   if (!ctx.registry) return null_value();
-  const udf::UdfInfo* info = ctx.registry->find(e.name());
+  auto site = std::find_if(ctx.udf_sites.begin(), ctx.udf_sites.end(),
+                           [&e](const auto& s) { return s.first == &e; });
+  const bool first_eval = site == ctx.udf_sites.end();
+  const udf::UdfInfo* info =
+      first_eval ? ctx.registry->find(e.name()) : site->second;
+  if (first_eval) ctx.udf_sites.emplace_back(&e, info);
   if (!info) return null_value();
 
   std::vector<Value> args;
@@ -212,9 +236,13 @@ Value eval_udf(const Expr& e, EvalContext& ctx) {
   for (const auto& c : e.children()) args.push_back(eval(*c, ctx));
 
   // First touch of a dynamic module on this rank pays the import cost.
-  ctx.cost += ctx.registry->charge_module_load(ctx.udf_ctx.rank, *info);
+  // Asking on the site's first evaluation suffices: the rank stays marked
+  // loaded until a force_reload, which takes effect from the next context.
+  if (first_eval) {
+    ctx.cost += ctx.registry->charge_module_load(ctx.udf_ctx.rank, *info);
+  }
 
-  const udf::UdfResult r = [&] {
+  udf::UdfResult r = [&] {
     // Attribute execution to the UDF by name; UdfInfo outlives every
     // query, so the pointer stays valid for the profiler.
     telemetry::ProfileScope udf_scope(info->name.c_str());

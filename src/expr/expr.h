@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "expr/value.h"
@@ -85,6 +86,13 @@ struct RowView {
 /// Everything expression evaluation needs. `cost` accumulates the modeled
 /// nanoseconds of this evaluation (UDF costs plus per-node overhead); the
 /// caller charges it to the rank's virtual clock.
+///
+/// A context serves one rank in one stage, over many rows. Each UDF call
+/// site is resolved on its first evaluation: the registry lookup and the
+/// module-load charge happen then, and later rows reuse the resolved
+/// UdfInfo without touching the registry's lock. So a force_reload takes
+/// effect from the next context, and a context must not outlive the
+/// expressions it evaluates (sites are keyed by expression node).
 struct EvalContext {
   RowView row;
   udf::UdfRegistry* registry = nullptr;
@@ -95,6 +103,9 @@ struct EvalContext {
   /// profiler observes each rank's *effective* throughput (§2.4.2).
   double speed_factor = 1.0;
   sim::Nanos cost = 0;
+  /// Resolved UDF call sites: the call node and its registry entry
+  /// (nullptr for an unregistered name).
+  std::vector<std::pair<const Expr*, const udf::UdfInfo*>> udf_sites;
 };
 
 /// Modeled per-node interpretation overhead.

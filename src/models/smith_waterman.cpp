@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "common/simd.h"
 
@@ -83,6 +84,15 @@ constexpr std::array<std::int8_t, 21 * 21> build_padded_matrix_i8() {
 
 constexpr std::array<std::int8_t, 21 * 21> kB62PaddedI8 =
     build_padded_matrix_i8();
+
+/// score / sqrt(self_a * self_b), clamped to [0, 1]; 0 when either self
+/// score is not positive (empty or unknown-residue-only sequences).
+double similarity(int score, int self_a, int self_b) {
+  if (self_a <= 0 || self_b <= 0) return 0.0;
+  double denom =
+      std::sqrt(static_cast<double>(self_a) * static_cast<double>(self_b));
+  return std::clamp(static_cast<double>(score) / denom, 0.0, 1.0);
+}
 
 }  // namespace
 
@@ -195,14 +205,29 @@ int self_score(std::string_view a) {
 
 double normalized_similarity(std::string_view a, std::string_view b,
                              const SwParams& params) {
-  if (a.empty() || b.empty()) return 0.0;
   int sa = self_score(a);
   int sb = self_score(b);
   if (sa <= 0 || sb <= 0) return 0.0;
-  SwResult r = smith_waterman(a, b, params);
-  double denom = std::sqrt(static_cast<double>(sa) * static_cast<double>(sb));
-  double sim = static_cast<double>(r.score) / denom;
-  return std::clamp(sim, 0.0, 1.0);
+  return similarity(smith_waterman(a, b, params).score, sa, sb);
+}
+
+TargetScorer::TargetScorer(std::string target)
+    : target_(std::move(target)), target_self_(self_score(target_)) {}
+
+TargetScorer::Score TargetScorer::score(std::string_view seq) {
+  Shard& shard = shards_[SeqHash{}(seq) % kShards];
+  {
+    MutexLock lock(shard.mutex);
+    auto it = shard.memo.find(seq);
+    if (it != shard.memo.end()) return it->second;
+  }
+  // Align outside the lock so misses on other sequences in this shard
+  // proceed in parallel. The cells are charged even when the similarity
+  // is 0, exactly as a direct smith_waterman call reports them.
+  SwResult r = smith_waterman(target_, seq);
+  Score s{similarity(r.score, target_self_, self_score(seq)), r.cells};
+  MutexLock lock(shard.mutex);
+  return shard.memo.try_emplace(std::string(seq), s).first->second;
 }
 
 }  // namespace ids::models

@@ -51,8 +51,11 @@ const UdfInfo* UdfRegistry::find(std::string_view name) const {
 }
 
 sim::Nanos UdfRegistry::charge_module_load(int rank, const UdfInfo& info) {
-  if (!info.dynamic || info.module_load_cost == 0) return 0;
+  // `info` is read under the lock too: re-registering a dynamic name
+  // overwrites its entry in place. Callers ask once per call site and
+  // stage, not per row, so the lock is off the hot path.
   MutexLock lock(mutex_);
+  if (!info.dynamic || info.module_load_cost == 0) return 0;
   auto [it, inserted] = loaded_.emplace(rank, info.module);
   (void)it;
   if (inserted) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -17,7 +18,9 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/rebalancer.h"
+#include "datagen/lifesci.h"
 #include "graph/dictionary.h"
+#include "models/smith_waterman.h"
 #include "sim/virtual_clock.h"
 #include "udf/profiler.h"
 #include "udf/registry.h"
@@ -210,6 +213,43 @@ TEST(ConcurrencyStress, UdfRegistryRegisterFindReload) {
   std::vector<std::string> names = reg.names();
   EXPECT_GE(names.size(), 1u);
   EXPECT_LE(names.size(), 5u);
+}
+
+TEST(ConcurrencyStress, TargetScorerMemoUnderOverlappingMisses) {
+  Rng rng(0x5a11);
+  const std::string target = datagen::random_protein_sequence(rng, 120);
+  constexpr int kSeqs = 24;
+  std::vector<std::string> seqs;
+  for (int i = 0; i < kSeqs; ++i) {
+    seqs.push_back(i % 3 == 0
+                       ? datagen::mutate_sequence(rng, target, 0.05 * i, 0.01)
+                       : datagen::random_protein_sequence(rng, 40 + 4 * i));
+  }
+  // Serial reference, computed without the memo.
+  std::vector<double> want_sim;
+  std::vector<std::uint64_t> want_cells;
+  for (const std::string& seq : seqs) {
+    want_sim.push_back(models::normalized_similarity(target, seq));
+    want_cells.push_back(models::smith_waterman(target, seq).cells);
+  }
+
+  // Every thread walks all sequences twice from its own offset, so the
+  // threads miss on the same sequences at once and then hit each other's
+  // inserts.
+  models::TargetScorer scorer(target);
+  std::atomic<int> mismatches{0};
+  hammer([&](int t) {
+    for (int i = 0; i < 2 * kSeqs; ++i) {
+      auto k = static_cast<std::size_t>((t * 7 + i) % kSeqs);
+      models::TargetScorer::Score s = scorer.score(seqs[k]);
+      if (std::bit_cast<std::uint64_t>(s.similarity) !=
+              std::bit_cast<std::uint64_t>(want_sim[k]) ||
+          s.cells != want_cells[k]) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ConcurrencyStress, ProfilerCountersFeedRebalancerUnderLoad) {

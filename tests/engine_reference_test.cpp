@@ -280,7 +280,11 @@ GoldenScenario make_golden_scenario(int shards) {
   s.features = std::make_unique<store::FeatureStore>(shards);
   auto& dict = s.store->dict();
   for (int i = 0; i < 30; ++i) {
-    TermId id = dict.intern("e" + std::to_string(i));
+    // Appended, not "e" + std::to_string(i): GCC 12 reports a false
+    // -Wrestrict on the inlined operator+.
+    std::string name = "e";
+    name += std::to_string(i);
+    TermId id = dict.intern(name);
     s.entities.push_back(id);
     s.features->set(id, "score", rng.uniform(0.0, 10.0));
   }

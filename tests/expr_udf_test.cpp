@@ -155,6 +155,74 @@ TEST(Expr, UdfCostScaledBySpeedFactor) {
   EXPECT_LT(prof.get(0, "work").total_time, prof.get(1, "work").total_time);
 }
 
+TEST(Expr, ContextResolvesACallSiteOnceAcrossRows) {
+  udf::UdfRegistry reg;
+  int calls = 0;
+  reg.register_dynamic("mod", "f",
+                       [&calls](const udf::UdfContext&,
+                                std::span<const Value> args) {
+                         ++calls;
+                         return udf::UdfResult{args[0],
+                                               sim::from_seconds(0.001)};
+                       },
+                       sim::from_seconds(2.0));
+  udf::UdfProfiler prof(1);
+
+  constexpr std::size_t kRows = 50;
+  graph::SolutionTable t({"x"});
+  for (graph::TermId id = 1; id <= kRows; ++id) t.append_row({&id, 1});
+
+  auto call = Expr::Udf("mod.f", {Expr::Var("x")});
+  EvalContext ctx;
+  ctx.row = {&t, 0};
+  ctx.registry = &reg;
+  ctx.profiler = &prof;
+  std::vector<sim::Nanos> costs;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    ctx.row.row = row;
+    ctx.cost = 0;
+    Value v = expr::eval(*call, ctx);
+    const Entity* e = std::get_if<Entity>(&v);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->id, row + 1);
+    costs.push_back(ctx.cost);
+  }
+  // The function runs, and is profiled, once per row.
+  EXPECT_EQ(calls, static_cast<int>(kRows));
+  EXPECT_EQ(prof.get(0, "mod.f").execs, kRows);
+  // The 2 s module import lands on the first row only.
+  EXPECT_EQ(costs[0] - costs[1], sim::from_seconds(2.0));
+  for (std::size_t row = 1; row < kRows; ++row) {
+    EXPECT_EQ(costs[row], costs[1]) << "row " << row;
+  }
+}
+
+TEST(Expr, ForceReloadAppliesFromTheNextContext) {
+  udf::UdfRegistry reg;
+  reg.register_dynamic("mod", "f",
+                       [](const udf::UdfContext&, std::span<const Value>) {
+                         return udf::UdfResult{1.0, 0};
+                       },
+                       sim::from_seconds(2.0));
+  auto call = Expr::Udf("mod.f", {});
+  EvalContext ctx;
+  ctx.registry = &reg;
+  expr::eval(*call, ctx);
+  EXPECT_GE(ctx.cost, sim::from_seconds(2.0));
+
+  // A context serves one stage: a reload mid-stage is not paid there...
+  reg.force_reload("mod");
+  ctx.cost = 0;
+  expr::eval(*call, ctx);
+  EXPECT_LT(ctx.cost, sim::from_seconds(1.0));
+
+  // ...but the next stage's context pays the import again.
+  EvalContext next;
+  next.registry = &reg;
+  expr::eval(*call, next);
+  EXPECT_GE(next.cost, sim::from_seconds(2.0));
+}
+
 TEST(Expr, ToStringRendersReadably) {
   auto e = Expr::Compare(CmpOp::kGe, Expr::Udf("sw", {Expr::Var("p")}),
                          Expr::Constant(0.9));

@@ -1,8 +1,15 @@
 // Smith-Waterman tests: exact values on tiny alignments, algebraic
-// properties (identity, symmetry, bounds), and parameterized monotonicity
-// under mutation.
+// properties (identity, symmetry, bounds), parameterized monotonicity
+// under mutation, and the memoizing target scorer.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "datagen/lifesci.h"
@@ -134,6 +141,91 @@ TEST_P(MutationSweep, SimilarityDecreasesWithDivergence) {
 
 INSTANTIATE_TEST_SUITE_P(Rates, MutationSweep,
                          ::testing::Values(0.005, 0.05, 0.15, 0.3, 0.45, 0.6));
+
+// The arithmetic the sw_similarity UDF used before it memoized: one full
+// alignment plus both self scores per call.
+TargetScorer::Score direct_score(std::string_view target,
+                                 std::string_view seq) {
+  SwResult r = smith_waterman(target, seq);
+  int sa = self_score(target);
+  int sb = self_score(seq);
+  double sim = 0.0;
+  if (sa > 0 && sb > 0) {
+    sim = static_cast<double>(r.score) /
+          std::sqrt(static_cast<double>(sa) * static_cast<double>(sb));
+    sim = std::clamp(sim, 0.0, 1.0);
+  }
+  return {sim, r.cells};
+}
+
+void expect_same_score(const TargetScorer::Score& got,
+                       const TargetScorer::Score& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.similarity),
+            std::bit_cast<std::uint64_t>(want.similarity))
+      << got.similarity << " vs " << want.similarity;
+  EXPECT_EQ(got.cells, want.cells);
+}
+
+TEST(TargetScorer, MatchesDirectAlignmentBitForBit) {
+  Rng rng(17);
+  std::string target = datagen::random_protein_sequence(rng, 220);
+  TargetScorer scorer(target);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Relatives of the target (high scores) and unrelated sequences.
+    std::string seq =
+        trial % 2 == 0
+            ? datagen::mutate_sequence(rng, target, 0.02 * trial, 0.005)
+            : datagen::random_protein_sequence(rng, 30 + 9 * trial);
+    SCOPED_TRACE(trial);
+    expect_same_score(scorer.score(seq), direct_score(target, seq));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scorer.score(seq).similarity),
+              std::bit_cast<std::uint64_t>(normalized_similarity(target, seq)));
+  }
+}
+
+TEST(TargetScorer, EmptySequenceScoresZeroAndCostsNothing) {
+  TargetScorer scorer("ARNDCQEGHILKMFPSTWYV");
+  TargetScorer::Score s = scorer.score("");
+  EXPECT_EQ(s.cells, 0u);
+  EXPECT_EQ(s.similarity, 0.0);
+  expect_same_score(s, direct_score("ARNDCQEGHILKMFPSTWYV", ""));
+}
+
+TEST(TargetScorer, UnknownResiduesScoreZeroButStillCostCells) {
+  const std::string target = "ARNDCQEGHILKMFPSTWYV";
+  TargetScorer scorer(target);
+  TargetScorer::Score s = scorer.score("XBZJOU");  // no standard residues
+  EXPECT_EQ(s.similarity, 0.0);
+  EXPECT_EQ(s.cells, target.size() * 6);
+  expect_same_score(s, direct_score(target, "XBZJOU"));
+}
+
+TEST(TargetScorer, TargetScoresOne) {
+  Rng rng(19);
+  std::string target = datagen::random_protein_sequence(rng, 150);
+  TargetScorer scorer(target);
+  EXPECT_EQ(scorer.score(target).similarity, 1.0);
+  EXPECT_EQ(scorer.score(target).cells, 150u * 150u);
+}
+
+TEST(TargetScorer, RepeatCallsReturnTheMemoizedScore) {
+  Rng rng(23);
+  std::string target = datagen::random_protein_sequence(rng, 120);
+  std::vector<std::string> seqs;
+  for (int i = 0; i < 6; ++i) {
+    seqs.push_back(datagen::mutate_sequence(rng, target, 0.1 * i, 0.01));
+  }
+  TargetScorer scorer(target);
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& seq : seqs) {
+      SCOPED_TRACE(round);
+      expect_same_score(scorer.score(seq), direct_score(target, seq));
+    }
+  }
+  // Keyed by content: an equal string held elsewhere hits the same entry.
+  std::string copy = seqs[2];
+  expect_same_score(scorer.score(copy), direct_score(target, seqs[2]));
+}
 
 TEST(SwCost, UnderOneMillisecondPerComparisonAtPaperScale) {
   // The paper's <1 ms/comparison budget at ~350-residue sequences must hold

@@ -182,6 +182,13 @@ TEST_F(WorkflowTest, ModuleLoadCostAppearsOnceColdPerRank) {
   // The 2 s/rank Python-module import is gone on the warm run.
   EXPECT_LT(warm.stage_seconds("filter") + 1.0,
             cold.stage_seconds("filter"));
+  // UDF call sites are resolved per stage, so nothing cached from the
+  // warm query hides a reload: every rank pays the import again.
+  eng.registry().force_reload("ncnpr");
+  QueryResult reloaded = eng.execute(q);
+  EXPECT_GT(reloaded.stage_seconds("filter"),
+            warm.stage_seconds("filter") + 1.0);
+  EXPECT_EQ(reloaded.solutions.num_rows(), cold.solutions.num_rows());
 }
 
 TEST_F(WorkflowTest, DeterministicEndToEnd) {
