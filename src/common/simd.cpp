@@ -20,7 +20,7 @@ std::atomic<int> g_active_level{-1};
 }  // namespace detail
 
 namespace {
-// Keeps the process-wide ids_simd_level gauge (0=scalar, 1=sse4.2, 2=avx2)
+// Keeps the process-wide ids_simd_level gauge (0=scalar, 2=avx2)
 // in sync with the dispatch state; called on every resolution/override.
 void export_level_gauge(Level level) {
   telemetry::MetricsRegistry::global()
@@ -32,7 +32,6 @@ void export_level_gauge(Level level) {
 Level detected_level() {
 #if IDS_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
 #endif
   return Level::kScalar;
 }
@@ -40,7 +39,6 @@ Level detected_level() {
 const char* level_name(Level level) {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse42: return "sse4.2";
     case Level::kAvx2: return "avx2";
   }
   return "scalar";
@@ -52,7 +50,6 @@ std::optional<Level> parse_level(std::string_view s) {
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   if (lower == "scalar") return Level::kScalar;
-  if (lower == "sse4.2" || lower == "sse42") return Level::kSse42;
   if (lower == "avx2") return Level::kAvx2;
   return std::nullopt;
 }
@@ -195,90 +192,6 @@ void l2_4_scalar(const float* q, const float* const* r, std::size_t n,
 
 #define IDS_TARGET_AVX2 __attribute__((target("avx2")))
 
-// ---- SSE4.2 level (SSE float math is x86-64 baseline; no attribute) -----
-
-float dot_1_sse42(const float* a, const float* b, std::size_t n) {
-  __m128 lo = _mm_setzero_ps();
-  __m128 hi = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    lo = _mm_add_ps(lo, _mm_mul_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i)));
-    hi = _mm_add_ps(
-        hi, _mm_mul_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4)));
-  }
-  float lanes[8];
-  _mm_storeu_ps(lanes, lo);
-  _mm_storeu_ps(lanes + 4, hi);
-  dot_tail(a, b, i, n, lanes);
-  return reduce8(lanes);
-}
-
-float l2_1_sse42(const float* a, const float* b, std::size_t n) {
-  __m128 lo = _mm_setzero_ps();
-  __m128 hi = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 dlo = _mm_sub_ps(_mm_loadu_ps(a + i), _mm_loadu_ps(b + i));
-    const __m128 dhi =
-        _mm_sub_ps(_mm_loadu_ps(a + i + 4), _mm_loadu_ps(b + i + 4));
-    lo = _mm_add_ps(lo, _mm_mul_ps(dlo, dlo));
-    hi = _mm_add_ps(hi, _mm_mul_ps(dhi, dhi));
-  }
-  float lanes[8];
-  _mm_storeu_ps(lanes, lo);
-  _mm_storeu_ps(lanes + 4, hi);
-  l2_tail(a, b, i, n, lanes);
-  return reduce8(lanes);
-}
-
-void dot_4_sse42(const float* q, const float* const* r, std::size_t n,
-                 float* out) {
-  __m128 acc[4][2];
-  for (auto& a2 : acc) a2[0] = a2[1] = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 qlo = _mm_loadu_ps(q + i);
-    const __m128 qhi = _mm_loadu_ps(q + i + 4);
-    for (std::size_t k = 0; k < 4; ++k) {
-      acc[k][0] =
-          _mm_add_ps(acc[k][0], _mm_mul_ps(qlo, _mm_loadu_ps(r[k] + i)));
-      acc[k][1] =
-          _mm_add_ps(acc[k][1], _mm_mul_ps(qhi, _mm_loadu_ps(r[k] + i + 4)));
-    }
-  }
-  for (std::size_t k = 0; k < 4; ++k) {
-    float lanes[8];
-    _mm_storeu_ps(lanes, acc[k][0]);
-    _mm_storeu_ps(lanes + 4, acc[k][1]);
-    dot_tail(q, r[k], i, n, lanes);
-    out[k] = reduce8(lanes);
-  }
-}
-
-void l2_4_sse42(const float* q, const float* const* r, std::size_t n,
-                float* out) {
-  __m128 acc[4][2];
-  for (auto& a2 : acc) a2[0] = a2[1] = _mm_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128 qlo = _mm_loadu_ps(q + i);
-    const __m128 qhi = _mm_loadu_ps(q + i + 4);
-    for (std::size_t k = 0; k < 4; ++k) {
-      const __m128 dlo = _mm_sub_ps(qlo, _mm_loadu_ps(r[k] + i));
-      const __m128 dhi = _mm_sub_ps(qhi, _mm_loadu_ps(r[k] + i + 4));
-      acc[k][0] = _mm_add_ps(acc[k][0], _mm_mul_ps(dlo, dlo));
-      acc[k][1] = _mm_add_ps(acc[k][1], _mm_mul_ps(dhi, dhi));
-    }
-  }
-  for (std::size_t k = 0; k < 4; ++k) {
-    float lanes[8];
-    _mm_storeu_ps(lanes, acc[k][0]);
-    _mm_storeu_ps(lanes + 4, acc[k][1]);
-    l2_tail(q, r[k], i, n, lanes);
-    out[k] = reduce8(lanes);
-  }
-}
-
 // ---- AVX2 level ----------------------------------------------------------
 
 IDS_TARGET_AVX2 float dot_1_avx2(const float* a, const float* b,
@@ -361,19 +274,18 @@ struct Kernels {
   void (*l24)(const float*, const float* const*, std::size_t, float*);
 };
 
-constexpr Kernels kKernelTable[3] = {
-    {dot_1_scalar, l2_1_scalar, dot_4_scalar, l2_4_scalar},
+constexpr Kernels kScalarKernels = {dot_1_scalar, l2_1_scalar, dot_4_scalar,
+                                    l2_4_scalar};
 #if IDS_SIMD_X86
-    {dot_1_sse42, l2_1_sse42, dot_4_sse42, l2_4_sse42},
-    {dot_1_avx2, l2_1_avx2, dot_4_avx2, l2_4_avx2},
-#else
-    {dot_1_scalar, l2_1_scalar, dot_4_scalar, l2_4_scalar},
-    {dot_1_scalar, l2_1_scalar, dot_4_scalar, l2_4_scalar},
+constexpr Kernels kAvx2Kernels = {dot_1_avx2, l2_1_avx2, dot_4_avx2,
+                                  l2_4_avx2};
 #endif
-};
 
 inline const Kernels& kernels() {
-  return kKernelTable[static_cast<int>(active_level())];
+#if IDS_SIMD_X86
+  if (active_level() == Level::kAvx2) return kAvx2Kernels;
+#endif
+  return kScalarKernels;
 }
 
 }  // namespace

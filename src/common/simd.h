@@ -3,23 +3,24 @@
 // Centralized SIMD kernel layer with runtime dispatch (ISSUE 7 tentpole).
 //
 // Every raw intrinsic in the tree lives behind this interface (lint rule 10
-// bans <immintrin.h> outside src/common/simd.*). The layer exposes three
-// dispatch levels — scalar, SSE4.2, AVX2 — resolved once at startup from
-// CPUID, overridable with the IDS_SIMD_LEVEL environment variable
-// ("scalar", "sse4.2", "avx2"; requests above the detected level clamp
-// down) and at runtime via set_level() for the equivalence tests that
-// sweep every level in one process.
+// bans <immintrin.h> outside src/common/simd.*). The layer exposes two
+// dispatch levels — scalar and AVX2 — resolved once at startup from CPUID,
+// overridable with the IDS_SIMD_LEVEL environment variable ("scalar",
+// "avx2"; requests above the detected level clamp down, unknown values
+// fall back to auto-detection) and at runtime via set_level() for the
+// equivalence tests that sweep every level in one process. A host without
+// AVX2 runs every kernel's scalar path.
 //
 // Determinism contract (see DESIGN.md §11): the float kernels accumulate
 // into a fixed set of 8 "virtual lanes" — lane l sums elements with index
 // ≡ l (mod 8) in input order — and reduce them through one pinned tree:
 // ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). The scalar path materializes the
-// 8 lanes as a float array, SSE4.2 as two 4-wide vectors, AVX2 as one
-// 8-wide vector; each performs the *same* multiply-then-add sequence per
-// lane (simd.cpp is compiled with -ffp-contract=off so no path fuses into
-// FMA), so results are bit-identical across all dispatch levels. Exact
-// scan vs IVF recall tests compare scores directly, and modeled clocks
-// feed the KernelEquivalence goldens — both rely on this.
+// 8 lanes as a float array, AVX2 as one 8-wide vector; both perform the
+// *same* multiply-then-add sequence per lane (simd.cpp is compiled with
+// -ffp-contract=off so no path fuses into FMA), so results are
+// bit-identical across dispatch levels. Exact scan vs IVF recall tests
+// compare scores directly, and modeled clocks feed the KernelEquivalence
+// goldens — both rely on this.
 //
 // Integer kernels (striped Smith–Waterman, hash-group byte scans) are
 // exact by construction at every level.
@@ -39,16 +40,17 @@
 
 namespace ids::simd {
 
-/// Dispatch levels, ordered: a level implies every lower one.
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+/// Dispatch levels, ordered: a level implies every lower one. The values
+/// are what the ids_simd_level gauge reports.
+enum class Level : int { kScalar = 0, kAvx2 = 2 };
 
 /// Best level this CPU supports (CPUID; computed once).
 Level detected_level();
 
-/// Lowercase display name: "scalar", "sse4.2", "avx2".
+/// Lowercase display name: "scalar", "avx2".
 const char* level_name(Level level);
 
-/// Parses a level name (accepts "sse42" for "sse4.2"); nullopt on junk.
+/// Parses a level name, case-insensitively; nullopt on junk.
 std::optional<Level> parse_level(std::string_view s);
 
 /// Forces the active level (clamped to detected_level()); returns the

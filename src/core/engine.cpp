@@ -4,9 +4,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <numeric>
-#include <set>
+#include <optional>
 
 #include "common/check.h"
 #include "common/flat_map.h"
@@ -175,20 +174,22 @@ class QueryExecution {
     for (std::size_t r = 0; r < clocks_.size(); ++r) clocks_.at(r).advance(o);
   }
 
-  /// Opens the trace span of the pipeline stage that is starting. Each
-  /// stage ends in mark(), which closes the span at the barrier time.
-  /// Call after any early-return guards, so skipped stages leave no span.
-  void stage_begin(std::string_view name) {
+  /// Opens the pipeline stage `name` and its trace span. Each stage ends
+  /// in mark(), which closes the span at the barrier time and records the
+  /// stage under the same name. Call after any early-return guards, so
+  /// skipped stages leave no span.
+  void stage_begin(std::string name) {
+    stage_name_ = std::move(name);
     if (tracer_ == nullptr) return;
     stage_span_ =
-        tracer_->begin_span(name, "stage", root_span_, -1, last_mark_);
+        tracer_->begin_span(stage_name_, "stage", root_span_, -1, last_mark_);
   }
 
-  /// Ends a pipeline stage: synchronizes clocks and records the stage's
-  /// critical-path duration (as a StageTiming, as the stage trace span's
-  /// modeled range — bit-identical, both are `now - last_mark_` — and as
-  /// an ids_engine_stage_seconds observation).
-  void mark(std::string stage) {
+  /// Ends the open pipeline stage: synchronizes clocks and records the
+  /// stage's critical-path duration (as a StageTiming, as the stage trace
+  /// span's modeled range — bit-identical, both are `now - last_mark_` —
+  /// and as an ids_engine_stage_seconds observation).
+  void mark() {
     sim::Nanos now = clocks_.barrier();
     double seconds = sim::to_seconds(now - last_mark_);
     const std::uint64_t wall_now = telemetry::Tracer::wall_now_ns();
@@ -203,18 +204,19 @@ class QueryExecution {
     stage_wall_start_ = wall_now;
     metrics_
         ->histogram("ids_engine_stage_seconds",
-                    telemetry::latency_seconds_buckets(), {{"stage", stage}})
+                    telemetry::latency_seconds_buckets(),
+                    {{"stage", stage_name_}})
         ->observe(seconds);
     // Resource accounting: modeled-vs-wall per stage, and the
     // SolutionTable high-water mark sampled at every barrier.
-    result_.account.stages.push_back({stage, seconds, wall_seconds});
+    result_.account.stages.push_back({stage_name_, seconds, wall_seconds});
     std::uint64_t solution_bytes = 0;
     for (const auto& t : parts_) {
       solution_bytes +=
           static_cast<std::uint64_t>(t.num_rows() * t.row_bytes());
     }
     peak_solution_bytes_ = std::max(peak_solution_bytes_, solution_bytes);
-    result_.stages.push_back({std::move(stage), seconds});
+    result_.stages.push_back({std::move(stage_name_), seconds});
     last_mark_ = now;
   }
 
@@ -265,23 +267,75 @@ class QueryExecution {
         ->observe(acct.wall_seconds);
   }
 
-  /// Wall-clock sample for a per-rank span start; 0 when tracing is off
-  /// (rank_span is a no-op then, so the value is never read).
-  std::uint64_t rank_wall_start() const {
-    return tracer_ != nullptr ? telemetry::Tracer::wall_now_ns() : 0;
+  // ---- Per-rank steps ------------------------------------------------------
+
+  /// One bulk-synchronous step: runs fn(r, span) on every rank inside the
+  /// rank span `name`, which is parented to the current stage span and
+  /// covers rank r's clock across fn (span is kNoSpan when tracing is
+  /// off). `scope` names the step for the sampling profiler and must be a
+  /// string literal.
+  template <typename Fn>
+  void each_rank(const char* scope, std::string_view name, Fn&& fn) {
+    runtime::for_each_rank(p_, scope, [&](int r) {
+      const sim::VirtualClock& clock = clocks_.at(static_cast<std::size_t>(r));
+      const telemetry::SpanId span =
+          tracer_ == nullptr ? telemetry::kNoSpan
+                             : tracer_->begin_span(name, "rank", stage_span_,
+                                                   r, clock.now());
+      fn(r, span);
+      if (tracer_ != nullptr) tracer_->end_span(span, clock.now());
+    });
   }
 
-  /// Records a completed per-rank operator span [v0, rank-clock-now] on
-  /// rank r's timeline, parented to the current stage span. Returns the
-  /// span id so the caller can attach attrs (kNoSpan when tracing is off).
-  /// Thread-safe: rank lambdas call this concurrently.
-  telemetry::SpanId rank_span(std::string_view name, int r, sim::Nanos v0,
-                              std::uint64_t w0) {
-    if (tracer_ == nullptr) return telemetry::kNoSpan;
-    auto ru = static_cast<std::size_t>(r);
-    return tracer_->record_span(name, "rank", stage_span_, r, v0,
-                                clocks_.at(ru).now(), w0,
-                                telemetry::Tracer::wall_now_ns());
+  /// Runs fn() as one INVOKE call on rank r (cache.get, udf, cache.put),
+  /// recorded as a span under the rank span `parent` over the modeled time
+  /// fn charges. Returns the call's span; kNoSpan when `parent` is.
+  template <typename Fn>
+  telemetry::SpanId call_span(std::string_view name,
+                              std::string_view category,
+                              telemetry::SpanId parent, int r, Fn&& fn) {
+    if (parent == telemetry::kNoSpan) {
+      fn();
+      return telemetry::kNoSpan;
+    }
+    const sim::VirtualClock& clock = clocks_.at(static_cast<std::size_t>(r));
+    const sim::Nanos v0 = clock.now();
+    const std::uint64_t w0 = telemetry::Tracer::wall_now_ns();
+    fn();
+    return tracer_->record_span(name, category, parent, r, v0, clock.now(),
+                                w0, telemetry::Tracer::wall_now_ns());
+  }
+
+  /// Attaches a count to a span; a no-op on kNoSpan (tracing off).
+  void count_attr(telemetry::SpanId span, std::string_view key,
+                  std::size_t n) const {
+    if (span != telemetry::kNoSpan) {
+      tracer_->add_attr(span, key, static_cast<std::uint64_t>(n));
+    }
+  }
+
+  /// Keeps the rows of `t` whose flag is set, recording rows_in and
+  /// rows_kept on the rank span.
+  void keep_rows(SolutionTable& t, const std::vector<char>& keep,
+                 telemetry::SpanId span) const {
+    count_attr(span, "rows_in", t.num_rows());
+    t.filter_rows(keep);
+    count_attr(span, "rows_kept", t.num_rows());
+  }
+
+  /// Expression context for rank r over its table t. One context serves a
+  /// rank for a whole stage, so each UDF call site is resolved (and its
+  /// module load charged) once per rank and stage; only the row cursor
+  /// moves per row.
+  expr::EvalContext eval_context(int r, const SolutionTable& t) {
+    expr::EvalContext ctx;
+    ctx.row = {&t, 0};
+    ctx.registry = registry_;
+    ctx.profiler = profiler_;
+    ctx.udf_ctx = {r, features_, vectors_,
+                   &rank_rngs_[static_cast<std::size_t>(r)]};
+    ctx.speed_factor = speed(r);
+    return ctx;
   }
 
   std::size_t total_rows() const {
@@ -302,59 +356,53 @@ class QueryExecution {
 
   // ---- Row movement ------------------------------------------------------
 
-  /// Moves every row to the rank returned by `dst_of`, charging the
-  /// alpha-beta fabric model and synchronizing clocks (one all-to-all).
+  /// The rank that owns a key. Every shuffle sends a row to the shard
+  /// holding the triples whose subject is its key (the engine checks that
+  /// shards and ranks correspond one to one).
+  int owner_of(TermId key) const { return triples_->shard_of_subject(key); }
+
+  /// Moves every row of `parts` to owner_of(its id in column `col`).
   /// Batch kernel: destinations are computed into a flat array, grouped by
   /// destination (CSR over scratch shared by all sources), and moved with
   /// one columnar gather per (src, dst) pair that carries rows. Each
-  /// destination receives its sources in rank order, rows ascending.
-  void shuffle_rows(
-      const std::function<int(const SolutionTable&, std::size_t)>& dst_of) {
-    if (!has_schema()) return;
-    std::vector<SolutionTable> out;
-    out.reserve(static_cast<std::size_t>(p_));
-    for (int r = 0; r < p_; ++r) out.push_back(parts_[0].empty_like());
-
-    std::vector<runtime::TrafficSummary> traffic(static_cast<std::size_t>(p_));
-    const std::size_t row_bytes = parts_[0].row_bytes();
-
+  /// destination receives its sources in rank order, rows ascending. Rows
+  /// that leave their rank are recorded in `traffic` and rows_partitioned
+  /// unless `traffic` is null.
+  void route_by(std::vector<SolutionTable>& parts, int col,
+                runtime::AllToAll* traffic) {
+    std::vector<SolutionTable> out(static_cast<std::size_t>(p_),
+                                   parts[0].empty_like());
+    const std::size_t row_bytes = parts[0].row_bytes();
     std::vector<int> dsts;
     std::vector<RowIndex> counts(static_cast<std::size_t>(p_), 0);
     graph::RowPartition partition;
     for (int src = 0; src < p_; ++src) {
-      auto& table = parts_[static_cast<std::size_t>(src)];
-      const std::size_t n = table.num_rows();
-      dsts.resize(n);
-      for (std::size_t row = 0; row < n; ++row) dsts[row] = dst_of(table, row);
+      auto& table = parts[static_cast<std::size_t>(src)];
+      const auto& keys = table.id_col(col);
+      dsts.resize(keys.size());
+      for (std::size_t row = 0; row < keys.size(); ++row) {
+        dsts[row] = owner_of(keys[row]);
+      }
       SolutionTable::partition_by_dst(dsts, counts, &partition);
-
-      auto& ts = traffic[static_cast<std::size_t>(src)];
       for (std::size_t i = 0; i < partition.dsts.size(); ++i) {
         const int dst = partition.dsts[i];
         const auto rows = partition.rows_of(i);
         out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
-        if (dst == src) continue;
+        if (traffic == nullptr || dst == src) continue;
         rows_partitioned_ += rows.size();
-        const std::uint64_t bytes = row_bytes * rows.size();
-        auto& td = traffic[static_cast<std::size_t>(dst)];
-        if (opts_.topology.same_node(src, dst)) {
-          ts.intra_sent += bytes;
-          td.intra_recv += bytes;
-        } else {
-          ts.inter_sent += bytes;
-          td.inter_recv += bytes;
-        }
-        ++ts.messages;
+        traffic->send(src, dst, row_bytes * rows.size());
       }
       table.clear();
     }
-    for (int r = 0; r < p_; ++r) {
-      runtime::charge_traffic(clocks_.at(static_cast<std::size_t>(r)),
-                              opts_.topology,
-                              traffic[static_cast<std::size_t>(r)]);
-    }
-    parts_ = std::move(out);
-    clocks_.barrier();
+    parts = std::move(out);
+  }
+
+  /// Re-partitions the solution rows by the id in column `col`: one
+  /// all-to-all, charged on the alpha-beta fabric model, then a barrier.
+  void shuffle_rows(int col) {
+    runtime::AllToAll traffic(opts_.topology);
+    route_by(parts_, col, &traffic);
+    traffic.charge(clocks_);
   }
 
   /// Redistributes rows so rank r ends with targets[r] rows, moving as few
@@ -362,7 +410,7 @@ class QueryExecution {
   void redistribute_to_targets(const std::vector<std::size_t>& targets) {
     if (!has_schema()) return;
     const std::size_t row_bytes = parts_[0].row_bytes();
-    std::vector<runtime::TrafficSummary> traffic(static_cast<std::size_t>(p_));
+    runtime::AllToAll traffic(opts_.topology);
 
     struct Deficit {
       int rank;
@@ -388,28 +436,12 @@ class QueryExecution {
             table, n - take, n);
         table.truncate(n - take);
         rows_partitioned_ += take;
-
-        std::uint64_t bytes = row_bytes * take;
-        auto& ts = traffic[static_cast<std::size_t>(src)];
-        auto& td = traffic[static_cast<std::size_t>(dst)];
-        ++ts.messages;
-        if (opts_.topology.same_node(src, dst)) {
-          ts.intra_sent += bytes;
-          td.intra_recv += bytes;
-        } else {
-          ts.inter_sent += bytes;
-          td.inter_recv += bytes;
-        }
+        traffic.send(src, dst, row_bytes * take);
         deficits[d].need -= take;
         if (deficits[d].need == 0) ++d;
       }
     }
-    for (int r = 0; r < p_; ++r) {
-      runtime::charge_traffic(clocks_.at(static_cast<std::size_t>(r)),
-                              opts_.topology,
-                              traffic[static_cast<std::size_t>(r)]);
-    }
-    clocks_.barrier();
+    traffic.charge(clocks_);
   }
 
   // ---- Graph pattern operators --------------------------------------------
@@ -418,13 +450,13 @@ class QueryExecution {
     if (first || !has_schema()) {
       stage_begin("scan");
       scan_first(pat);
-      mark("scan");
+      mark();
       return;
     }
     stage_begin("join");
     if (pat.s.is_var && schema_has_var(pat.s.var)) {
       extend_subject_bound(pat);
-      mark("join");
+      mark();
       return;
     }
     // Shared non-subject variable -> hash join; none -> cartesian.
@@ -441,7 +473,7 @@ class QueryExecution {
       IDS_WARN << "cartesian join for pattern with no shared variable";
       cartesian_join(pat);
     }
-    mark("join");
+    mark();
   }
 
   /// Triple position (0 = s, 1 = p, 2 = o) where `var` first occurs in
@@ -483,17 +515,11 @@ class QueryExecution {
     charge_operator_overhead();
     SolutionTable prototype{pattern_vars(pat)};
     init_parts(prototype);
-    runtime::for_each_rank(p_, "rank.scan", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+    each_rank("rank.scan", "scan", [&](int r, telemetry::SpanId span) {
       std::size_t matches =
           scan_pattern_into(r, pat, &parts_[static_cast<std::size_t>(r)]);
       charge_graph_op(r, opts_.costs.triple_scan_cost(matches + 64));
-      telemetry::SpanId span = rank_span("scan", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "matches",
-                          static_cast<std::uint64_t>(matches));
-      }
+      count_attr(span, "matches", matches);
     });
   }
 
@@ -502,9 +528,7 @@ class QueryExecution {
     int svar = parts_[0].id_var_index(pat.s.var);
     IDS_CHECK(svar >= 0);
     // Rows travel to the shard owning their subject value.
-    shuffle_rows([this, svar](const SolutionTable& t, std::size_t row) {
-      return triples_->shard_of_subject(t.id_at(row, svar));
-    });
+    shuffle_rows(svar);
 
     // New schema: old id vars + pattern vars not yet bound.
     std::vector<std::string> new_vars;
@@ -532,10 +556,9 @@ class QueryExecution {
 
     std::vector<SolutionTable> out(static_cast<std::size_t>(p_),
                                    prototype.empty_like());
-    runtime::for_each_rank(p_, "rank.join_extend", [&](int r) {
+    each_rank("rank.join_extend", "join:extend",
+              [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
       const auto& in = parts_[ru];
       auto& dst = out[ru];
 
@@ -575,11 +598,7 @@ class QueryExecution {
       // columns in one pass per column.
       dst.append_prefix_from(in, src_rows);
       charge_graph_op(r, opts_.costs.triple_scan_cost(scanned + 64));
-      telemetry::SpanId span = rank_span("join:extend", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "scanned",
-                          static_cast<std::uint64_t>(scanned));
-      }
+      count_attr(span, "scanned", scanned);
     });
     parts_ = std::move(out);
     clocks_.barrier();
@@ -600,58 +619,26 @@ class QueryExecution {
     // Build side: local pattern matches on every rank.
     std::vector<SolutionTable> build(static_cast<std::size_t>(p_),
                                      SolutionTable{pattern_vars(pat)});
-    runtime::for_each_rank(p_, "rank.join_build", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+    each_rank("rank.join_build", "join:build",
+              [&](int r, telemetry::SpanId span) {
       std::size_t matches =
           scan_pattern_into(r, pat, &build[static_cast<std::size_t>(r)]);
       charge_graph_op(r, opts_.costs.triple_scan_cost(matches + 64));
-      telemetry::SpanId span = rank_span("join:build", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "matches",
-                          static_cast<std::uint64_t>(matches));
-      }
+      count_attr(span, "matches", matches);
     });
 
-    // Shuffle both sides by the join key.
+    // Shuffle both sides by the join key. The build side takes the same
+    // route, but its communication is charged as one tree collective of
+    // the average build rows (cheap relative to the probe shuffle) and
+    // stays out of rows_partitioned.
     int probe_idx = parts_[0].id_var_index(join_var);
-    shuffle_rows([this, probe_idx](const SolutionTable& t, std::size_t row) {
-      return static_cast<int>(mix64(t.id_at(row, probe_idx)) %
-                              static_cast<std::uint64_t>(p_));
-    });
-    {
-      // Shuffle the build side with the same partitioning: group rows by
-      // destination, then one gather per (src, dst) pair.
-      int bidx = build[0].id_var_index(join_var);
-      std::vector<SolutionTable> shuffled(static_cast<std::size_t>(p_),
-                                          build[0].empty_like());
-      std::vector<int> dsts;
-      std::vector<RowIndex> counts(static_cast<std::size_t>(p_), 0);
-      graph::RowPartition partition;
-      for (int src = 0; src < p_; ++src) {
-        auto& t = build[static_cast<std::size_t>(src)];
-        const auto& keys = t.id_col(bidx);
-        dsts.resize(keys.size());
-        for (std::size_t row = 0; row < keys.size(); ++row) {
-          dsts[row] = static_cast<int>(mix64(keys[row]) %
-                                       static_cast<std::uint64_t>(p_));
-        }
-        SolutionTable::partition_by_dst(dsts, counts, &partition);
-        for (std::size_t i = 0; i < partition.dsts.size(); ++i) {
-          shuffled[static_cast<std::size_t>(partition.dsts[i])]
-              .append_rows_from(t, partition.rows_of(i));
-        }
-      }
-      build = std::move(shuffled);
-      // Communication for the build side: charged as one tree collective
-      // of the average build rows (cheap relative to the probe shuffle).
-      std::size_t build_rows = 0;
-      for (const auto& t : build) build_rows += t.num_rows();
-      runtime::charge_tree_collective(
-          clocks_, opts_.topology,
-          build_rows * build[0].row_bytes() /
-              static_cast<std::size_t>(p_));
-    }
+    shuffle_rows(probe_idx);
+    route_by(build, build[0].id_var_index(join_var), nullptr);
+    std::size_t build_rows = 0;
+    for (const auto& t : build) build_rows += t.num_rows();
+    runtime::charge_tree_collective(
+        clocks_, opts_.topology,
+        build_rows * build[0].row_bytes() / static_cast<std::size_t>(p_));
 
     // Output schema: probe vars + new pattern vars.
     std::vector<std::string> new_vars;
@@ -670,10 +657,9 @@ class QueryExecution {
       if (v != join_var && schema_has_var(v)) check_vars.push_back(v);
     }
 
-    runtime::for_each_rank(p_, "rank.join_probe", [&](int r) {
+    each_rank("rank.join_probe", "join:probe",
+              [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
       const auto& bt = build[ru];
       const auto& probe = parts_[ru];
       auto& dst = out[ru];
@@ -738,11 +724,7 @@ class QueryExecution {
       dst.append_prefix_from(probe, src_rows);
       charge_graph_op(r, opts_.costs.join_cost(bt.num_rows() +
                                                probe.num_rows() + produced));
-      telemetry::SpanId span = rank_span("join:probe", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "produced",
-                          static_cast<std::uint64_t>(produced));
-      }
+      count_attr(span, "produced", produced);
     });
     parts_ = std::move(out);
     clocks_.barrier();
@@ -761,10 +743,9 @@ class QueryExecution {
     SolutionTable prototype{schema, parts_[0].num_vars()};
     std::vector<SolutionTable> out(static_cast<std::size_t>(p_),
                                    prototype.empty_like());
-    runtime::for_each_rank(p_, "rank.join_cartesian", [&](int r) {
+    each_rank("rank.join_cartesian", "join:cartesian",
+              [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
       const auto& in = parts_[ru];
       auto& dst = out[ru];
       const std::size_t n = in.num_rows();
@@ -798,11 +779,7 @@ class QueryExecution {
         }
       }
       charge_graph_op(r, opts_.costs.join_cost(n * m));
-      telemetry::SpanId span = rank_span("join:cartesian", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "produced",
-                          static_cast<std::uint64_t>(n * m));
-      }
+      count_attr(span, "produced", n * m);
     });
     parts_ = std::move(out);
     clocks_.barrier();
@@ -827,7 +804,7 @@ class QueryExecution {
                             posting_work / static_cast<std::size_t>(p_) + 16));
     }
     semi_join(kc.var, hits);
-    mark("keyword");
+    mark();
   }
 
   void apply_vector(const VectorClause& vc) {
@@ -840,10 +817,8 @@ class QueryExecution {
     // for approximate search), then a global merge (tree gather of k hits).
     std::vector<std::vector<store::VectorHit>> shard_hits(
         static_cast<std::size_t>(p_));
-    runtime::for_each_rank(p_, "rank.vector", [&](int r) {
+    each_rank("rank.vector", "vector:topk", [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
       if (vc.ivf_nprobe > 0) {
         store::IvfIndex::Params params;
         params.num_clusters = vc.ivf_clusters;
@@ -856,11 +831,7 @@ class QueryExecution {
         charge_compute(
             r, opts_.costs.vector_scan_cost(vectors_->scan_work_units(r)));
       }
-      telemetry::SpanId span = rank_span("vector:topk", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "hits",
-                          static_cast<std::uint64_t>(shard_hits[ru].size()));
-      }
+      count_attr(span, "hits", shard_hits[ru].size());
     });
     runtime::charge_tree_collective(
         clocks_, opts_.topology,
@@ -879,7 +850,7 @@ class QueryExecution {
     for (const auto& h : all) hits.push_back(h.id);
     std::sort(hits.begin(), hits.end());
     semi_join(vc.var, hits);
-    mark("vector");
+    mark();
   }
 
   /// Restricts `var` to the sorted id set, or seeds solutions from the set
@@ -889,8 +860,7 @@ class QueryExecution {
       SolutionTable prototype{{var}};
       init_parts(prototype);
       for (TermId id : ids) {
-        int dst = triples_->shard_of_subject(id);
-        parts_[static_cast<std::size_t>(dst)].append_row({&id, 1});
+        parts_[static_cast<std::size_t>(owner_of(id))].append_row({&id, 1});
       }
       return;
     }
@@ -899,9 +869,8 @@ class QueryExecution {
       IDS_WARN << "semi-join variable ?" << var << " not bound; skipping";
       return;
     }
-    runtime::for_each_rank(p_, "rank.semi_join", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+    each_rank("rank.semi_join", "semi_join",
+              [&](int r, telemetry::SpanId span) {
       auto& t = parts_[static_cast<std::size_t>(r)];
       const auto& col = t.id_col(idx);
       std::vector<char> keep(col.size(), 0);
@@ -910,15 +879,7 @@ class QueryExecution {
             std::binary_search(ids.begin(), ids.end(), col[row]) ? 1 : 0;
       }
       charge_graph_op(r, opts_.costs.join_cost(t.num_rows()));
-      std::size_t rows_in = t.num_rows();
-      t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("semi_join", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      keep_rows(t, keep, span);
     });
     clocks_.barrier();
   }
@@ -928,29 +889,13 @@ class QueryExecution {
   void apply_filters(const Query& query) {
     if (query.filters.empty() || !has_schema()) return;
 
-    std::vector<expr::Conjunct> conjuncts;
-    for (const auto& f : query.filters) {
-      auto flat = expr::flatten_conjuncts(f);
-      conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
-    }
-
-    // One profile snapshot plans every rank; no UDF records happen until
-    // the filter stage evaluates.
+    // One profile snapshot plans every rank's conjunct order (§2.4.3:
+    // per-rank reordering); no UDF records happen until the filter stage
+    // evaluates.
     const udf::ProfileSnapshot profile = profiler_->snapshot();
-
-    // Per-rank conjunct orders (§2.4.3: per-rank reordering).
-    std::vector<std::vector<std::size_t>> orders(
-        static_cast<std::size_t>(p_));
-    for (int r = 0; r < p_; ++r) {
-      if (opts_.reorder_filters) {
-        orders[static_cast<std::size_t>(r)] =
-            order_conjuncts(conjuncts, r, profile);
-      } else {
-        orders[static_cast<std::size_t>(r)].resize(conjuncts.size());
-        std::iota(orders[static_cast<std::size_t>(r)].begin(),
-                  orders[static_cast<std::size_t>(r)].end(), 0);
-      }
-    }
+    const FilterPlan plan =
+        plan_filters(query.filters, p_, opts_.reorder_filters, profile);
+    const std::vector<expr::Conjunct>& conjuncts = plan.conjuncts;
 
     // Solution re-balancing (§2.4.2) driven by per-rank single-solution
     // time estimates.
@@ -962,7 +907,7 @@ class QueryExecution {
         auto ru = static_cast<std::size_t>(r);
         counts[ru] = parts_[ru].num_rows();
         double est =
-            estimate_solution_seconds(conjuncts, orders[ru], r, profile);
+            estimate_solution_seconds(conjuncts, plan.orders[ru], r, profile);
         if (est > 0.0) throughput[ru] = 1.0 / est;
       }
       // Ranks exchange their estimates (one small tree reduction).
@@ -991,7 +936,7 @@ class QueryExecution {
             static_cast<std::uint64_t>(decision.used_throughput));
         tracer_->add_attr(stage_span_, "speed_ratio", decision.speed_ratio);
       }
-      mark("rebalance");
+      mark();
     }
 
     // Per-conjunct logical-call multipliers: a conjunct's evaluations are
@@ -1016,38 +961,26 @@ class QueryExecution {
       tracer_->add_attr(stage_span_, "reorder",
                         std::string_view(opts_.reorder_filters ? "on"
                                                                : "off"));
-      std::set<std::vector<std::size_t>> distinct(orders.begin(),
-                                                  orders.end());
       tracer_->add_attr(stage_span_, "distinct_orders",
-                        static_cast<std::uint64_t>(distinct.size()));
+                        static_cast<std::uint64_t>(plan.distinct_orders()));
       std::string rank0;
-      for (std::size_t ci : orders[0]) {
+      for (std::size_t ci : plan.orders[0]) {
         if (!rank0.empty()) rank0 += ',';
         rank0 += std::to_string(ci);
       }
       tracer_->add_attr(stage_span_, "rank0_order", rank0);
     }
     charge_operator_overhead();
-    runtime::for_each_rank(p_, "rank.filter", [&](int r) {
+    each_rank("rank.filter", "filter", [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      sim::Nanos v0 = clocks_.at(ru).now();
-      std::uint64_t w0 = rank_wall_start();
       auto& t = parts_[ru];
       std::vector<char> keep(t.num_rows(), 1);
       double rank_cost = 0.0;  // nanoseconds, multiplier-weighted
-      // One context per rank, so each UDF call site is resolved (and its
-      // module load charged) once per rank and stage; only the row cursor
-      // moves in the loop.
-      expr::EvalContext ctx;
-      ctx.row = {&t, 0};
-      ctx.registry = registry_;
-      ctx.profiler = profiler_;
-      ctx.udf_ctx = {r, features_, vectors_, &rank_rngs_[ru]};
-      ctx.speed_factor = speed(r);
+      expr::EvalContext ctx = eval_context(r, t);
       for (std::size_t row = 0; row < t.num_rows(); ++row) {
         ctx.row.row = row;
         ctx.cost = 0;
-        for (std::size_t ci : orders[ru]) {
+        for (std::size_t ci : plan.orders[ru]) {
           sim::Nanos before = ctx.cost;
           expr::Value v = expr::eval(*conjuncts[ci].expr, ctx);
           rank_cost += static_cast<double>(ctx.cost - before) *
@@ -1062,17 +995,9 @@ class QueryExecution {
         }
       }
       clocks_.at(ru).advance(static_cast<sim::Nanos>(rank_cost));
-      std::size_t rows_in = t.num_rows();
-      t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("filter", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      keep_rows(t, keep, span);
     });
-    mark("filter");
+    mark();
   }
 
   // ---- DISTINCT / INVOKE ---------------------------------------------------
@@ -1087,13 +1012,8 @@ class QueryExecution {
     }
     stage_begin("distinct");
     // Co-locate equal values, then keep the first row of each value.
-    shuffle_rows([this, idx](const SolutionTable& t, std::size_t row) {
-      return static_cast<int>(mix64(t.id_at(row, idx)) %
-                              static_cast<std::uint64_t>(p_));
-    });
-    runtime::for_each_rank(p_, "rank.distinct", [&](int r) {
-      sim::Nanos v0 = clocks_.at(static_cast<std::size_t>(r)).now();
-      std::uint64_t w0 = rank_wall_start();
+    shuffle_rows(idx);
+    each_rank("rank.distinct", "distinct", [&](int r, telemetry::SpanId span) {
       auto& t = parts_[static_cast<std::size_t>(r)];
       const auto& col = t.id_col(idx);
       FlatTermSet seen(col.size());
@@ -1102,21 +1022,13 @@ class QueryExecution {
         keep[row] = seen.insert(col[row]) ? 1 : 0;
       }
       charge_graph_op(r, opts_.costs.join_cost(t.num_rows()));
-      std::size_t rows_in = t.num_rows();
-      t.filter_rows(keep);
-      telemetry::SpanId span = rank_span("distinct", r, v0, w0);
-      if (span != telemetry::kNoSpan) {
-        tracer_->add_attr(span, "rows_in",
-                          static_cast<std::uint64_t>(rows_in));
-        tracer_->add_attr(span, "rows_kept",
-                          static_cast<std::uint64_t>(t.num_rows()));
-      }
+      keep_rows(t, keep, span);
     });
     // Spread the survivors evenly: the upcoming INVOKE is expensive and
     // hash placement can clump a small distinct set onto few ranks ("IDS
     // commonly re-balances solutions across ranks between operations").
     redistribute_to_targets(count_based_targets(total_rows(), p_));
-    mark("distinct");
+    mark();
   }
 
   /// Cache payloads store the scalar result first so the engine can parse
@@ -1171,23 +1083,14 @@ class QueryExecution {
 
     std::atomic<std::size_t> invoked{0};
 
-    runtime::for_each_rank(p_, "rank.invoke", [&](int r) {
+    each_rank("rank.invoke", "invoke", [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
-      telemetry::SpanId span =
-          tracer_ == nullptr
-              ? telemetry::kNoSpan
-              : tracer_->begin_span("invoke", "rank", stage_span_, r,
-                                    clocks_.at(ru).now());
+      sim::VirtualClock& clock = clocks_.at(ru);
       auto& t = parts_[ru];
       int out_col = t.num_var_index(inv.out_var);
       // One context and one argument buffer per rank; the row cursor and
       // per-row cost are reset in the loop.
-      expr::EvalContext ctx;
-      ctx.row = {&t, 0};
-      ctx.registry = registry_;
-      ctx.profiler = profiler_;
-      ctx.udf_ctx = {r, features_, vectors_, &rank_rngs_[ru]};
-      ctx.speed_factor = speed(r);
+      expr::EvalContext ctx = eval_context(r, t);
       std::vector<expr::Value> args;
       args.reserve(inv.args.size());
       // Like a FILTER call site, the rank asks for the module import once
@@ -1205,79 +1108,43 @@ class QueryExecution {
         // row's single advance into several is exact (integer adds), and
         // the cache never reads the clock's current value, so the modeled
         // result is bit-identical to charging everything at row end.
-        clocks_.at(ru).advance(ctx.cost);
+        clock.advance(ctx.cost);
         ctx.cost = 0;
 
-        double value = 0.0;
-        bool have = false;
+        std::optional<std::string> payload;
         std::string key;
         if (cached) {
           key = render_cache_key(inv, args);
-          sim::Nanos gv0 = clocks_.at(ru).now();
-          std::uint64_t gw0 = rank_wall_start();
-          auto payload = opts_.cache->get(clocks_.at(ru),
-                                          cache_node_of_rank(r), key);
-          if (span != telemetry::kNoSpan) {
-            telemetry::SpanId call = tracer_->record_span(
-                "cache.get", "cache", span, r, gv0, clocks_.at(ru).now(),
-                gw0, telemetry::Tracer::wall_now_ns());
-            tracer_->add_attr(call, "hit",
-                              static_cast<std::uint64_t>(payload ? 1 : 0));
-          }
-          if (payload) {
-            value = std::strtod(payload->c_str(), nullptr);
-            have = true;
-          }
+          const telemetry::SpanId get =
+              call_span("cache.get", "cache", span, r, [&] {
+                payload = opts_.cache->get(clock, cache_node_of_rank(r), key);
+              });
+          count_attr(get, "hit", payload ? 1 : 0);
         }
-        if (!have) {
+        double value = 0.0;
+        if (payload) {
+          value = std::strtod(payload->c_str(), nullptr);
+        } else {
           // Execute the model (a cache miss falls back to re-running the
           // simulation, the paper's "last resort on a total miss").
-          sim::Nanos xv0 = clocks_.at(ru).now();
-          std::uint64_t xw0 = rank_wall_start();
-          if (!load_charged) {
-            ctx.cost += registry_->charge_module_load(r, *info);
-            load_charged = true;
-          }
-          const udf::UdfResult res = [&] {
-            // Attribute model execution to the UDF by name; UdfInfo
-            // outlives every query, so the pointer stays valid for the
-            // profiler.
-            telemetry::ProfileScope udf_scope(info->name.c_str());
-            return info->fn(ctx.udf_ctx, args);
-          }();
-          auto scaled = static_cast<sim::Nanos>(
-              static_cast<double>(res.modeled_cost) /
-              (speed(r) > 0.0 ? speed(r) : 1.0));
-          ctx.cost += scaled;
-          profiler_->record_exec(r, info->name, scaled);
-          double out = 0.0;
-          expr::as_double(res.value, &out);
-          value = out;
-          invoked.fetch_add(1, std::memory_order_relaxed);
-          clocks_.at(ru).advance(ctx.cost);
-          ctx.cost = 0;
-          if (span != telemetry::kNoSpan) {
-            tracer_->record_span(info->name, "udf", span, r, xv0,
-                                 clocks_.at(ru).now(), xw0,
-                                 telemetry::Tracer::wall_now_ns());
-          }
-          if (cached) {
-            sim::Nanos pv0 = clocks_.at(ru).now();
-            std::uint64_t pw0 = rank_wall_start();
-            opts_.cache->put(clocks_.at(ru), cache_node_of_rank(r), key,
-                             make_payload(value, inv.cached_payload_bytes));
-            if (span != telemetry::kNoSpan) {
-              tracer_->record_span("cache.put", "cache", span, r, pv0,
-                                   clocks_.at(ru).now(), pw0,
-                                   telemetry::Tracer::wall_now_ns());
+          call_span(info->name, "udf", span, r, [&] {
+            if (!load_charged) {
+              ctx.cost += registry_->charge_module_load(r, *info);
+              load_charged = true;
             }
+            expr::as_double(expr::call_udf(*info, args, ctx), &value);
+            invoked.fetch_add(1, std::memory_order_relaxed);
+            clock.advance(ctx.cost);
+            ctx.cost = 0;
+          });
+          if (cached) {
+            call_span("cache.put", "cache", span, r, [&] {
+              opts_.cache->put(clock, cache_node_of_rank(r), key,
+                               make_payload(value, inv.cached_payload_bytes));
+            });
           }
         }
         t.set_num(row, out_col, value);
-        clocks_.at(ru).advance(ctx.cost);
-      }
-      if (tracer_ != nullptr) {
-        tracer_->end_span(span, clocks_.at(ru).now());
       }
     });
     std::size_t stage_hits = 0;
@@ -1308,7 +1175,7 @@ class QueryExecution {
         }
       }
     }
-    mark("invoke:" + inv.udf);
+    mark();
   }
 
   // ---- Final gather --------------------------------------------------------
@@ -1325,7 +1192,7 @@ class QueryExecution {
     runtime::charge_tree_collective(clocks_, opts_.topology, total_bytes);
     result_.account.rows_gathered =
         static_cast<std::uint64_t>(merged.num_rows());
-    mark("gather");
+    mark();
 
     // ORDER BY a numeric column.
     if (!query.order_by.empty()) {
@@ -1382,6 +1249,7 @@ class QueryExecution {
   telemetry::MetricsRegistry* metrics_;
   telemetry::SpanId root_span_ = telemetry::kNoSpan;
   telemetry::SpanId stage_span_ = telemetry::kNoSpan;
+  std::string stage_name_;  // the stage stage_begin() opened
   std::uint64_t stage_wall_start_ = 0;
 
   int p_;
@@ -1391,10 +1259,9 @@ class QueryExecution {
   QueryResult result_;
   sim::Nanos last_mark_ = 0;
 
-  // Per-query resource accounting (ISSUE 9). rows_partitioned_ is only
-  // mutated from the serial exchange loops (shuffle_rows /
-  // redistribute_to_targets run on the engine thread), so it needs no
-  // synchronization.
+  // Per-query resource accounting. rows_partitioned_ is only mutated from
+  // the serial exchange loops (route_by / redistribute_to_targets run on
+  // the engine thread), so it needs no synchronization.
   std::uint64_t query_wall_start_ = 0;
   std::size_t trace_base_ = 0;  // tracer_->size() at run() start
   cache::CacheStats cache_query_baseline_;
@@ -1469,37 +1336,25 @@ std::string IdsEngine::explain(const Query& query) const {
   }
 
   if (!query.filters.empty()) {
-    std::vector<expr::Conjunct> conjuncts;
-    for (const auto& f : query.filters) {
-      auto flat = expr::flatten_conjuncts(f);
-      conjuncts.insert(conjuncts.end(), flat.begin(), flat.end());
-    }
+    // The plan execute() would build now, from the same profile snapshot.
     const udf::ProfileSnapshot profile = profiler_.snapshot();
-    auto rank0 = options_.reorder_filters
-                     ? order_conjuncts(conjuncts, 0, profile)
-                     : [&] {
-                         std::vector<std::size_t> v(conjuncts.size());
-                         std::iota(v.begin(), v.end(), 0);
-                         return v;
-                       }();
+    const FilterPlan plan =
+        plan_filters(query.filters, options_.topology.num_ranks(),
+                     options_.reorder_filters, profile);
     out += "  filter chain (rank 0 order";
-    // How many distinct per-rank orders would the planner emit?
     if (options_.reorder_filters) {
-      std::set<std::vector<std::size_t>> distinct;
-      for (int r = 0; r < options_.topology.num_ranks(); ++r) {
-        distinct.insert(order_conjuncts(conjuncts, r, profile));
-      }
-      out += ", " + std::to_string(distinct.size()) +
+      out += ", " + std::to_string(plan.distinct_orders()) +
              " distinct order(s) across ranks";
     } else {
       out += ", reordering off";
     }
     out += "):\n";
-    for (std::size_t ci : rank0) {
-      ConjunctEstimate est = estimate_conjunct(conjuncts[ci], 0, profile);
+    for (std::size_t ci : plan.orders[0]) {
+      const expr::Conjunct& c = plan.conjuncts[ci];
+      ConjunctEstimate est = estimate_conjunct(c, 0, profile);
       std::snprintf(buf, sizeof(buf),
                     "    %-48s est_cost=%.4gs reject_rate=%.2f\n",
-                    conjuncts[ci].expr->to_string().c_str(), est.cost_seconds,
+                    c.expr->to_string().c_str(), est.cost_seconds,
                     est.rejection_rate);
       out += buf;
     }

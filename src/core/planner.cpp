@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -117,6 +118,28 @@ std::vector<std::size_t> order_conjuncts(
                      return est[a].rejection_rate > est[b].rejection_rate;
                    });
   return order;
+}
+
+std::size_t FilterPlan::distinct_orders() const {
+  return std::set<std::vector<std::size_t>>(orders.begin(), orders.end())
+      .size();
+}
+
+FilterPlan plan_filters(const std::vector<expr::ExprPtr>& filters, int ranks,
+                        bool reorder, const udf::ProfileSnapshot& profile) {
+  FilterPlan plan;
+  for (const auto& f : filters) {
+    auto flat = expr::flatten_conjuncts(f);
+    plan.conjuncts.insert(plan.conjuncts.end(), flat.begin(), flat.end());
+  }
+  std::vector<std::size_t> written(plan.conjuncts.size());
+  std::iota(written.begin(), written.end(), 0);
+  plan.orders.reserve(static_cast<std::size_t>(ranks));
+  for (int r = 0; r < ranks; ++r) {
+    plan.orders.push_back(reorder ? order_conjuncts(plan.conjuncts, r, profile)
+                                  : written);
+  }
+  return plan;
 }
 
 double estimate_solution_seconds(

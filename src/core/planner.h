@@ -53,6 +53,22 @@ std::vector<std::size_t> order_conjuncts(
     const std::vector<expr::Conjunct>& conjuncts, int rank,
     const udf::ProfileSnapshot& profile, double similar_ratio = 1.2);
 
+/// The FILTER plan of one query: the flattened conjunct chain and the
+/// order every rank evaluates it in.
+struct FilterPlan {
+  std::vector<expr::Conjunct> conjuncts;
+  std::vector<std::vector<std::size_t>> orders;  // one per rank
+
+  /// How many different orders the ranks use.
+  std::size_t distinct_orders() const;
+};
+
+/// Flattens the ANDed `filters` into one conjunct chain and orders it for
+/// each of `ranks` ranks from `profile` (order_conjuncts), or keeps the
+/// written order on every rank when `reorder` is false.
+FilterPlan plan_filters(const std::vector<expr::ExprPtr>& filters, int ranks,
+                        bool reorder, const udf::ProfileSnapshot& profile);
+
 /// Estimated seconds for `rank` to push one solution through the chain in
 /// the given order: conjunct c's cost is discounted by the probability
 /// that evaluation reaches it (product of earlier pass rates). This is the

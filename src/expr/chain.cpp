@@ -1,6 +1,5 @@
 #include "expr/chain.h"
 
-#include "common/check.h"
 namespace ids::expr {
 
 namespace {
@@ -23,15 +22,6 @@ std::vector<Conjunct> flatten_conjuncts(const ExprPtr& root) {
   std::vector<Conjunct> out;
   flatten(root, &out);
   return out;
-}
-
-ExprPtr rebuild_chain(const std::vector<Conjunct>& conjuncts) {
-  IDS_CHECK(!conjuncts.empty());
-  ExprPtr acc = conjuncts[0].expr;
-  for (std::size_t i = 1; i < conjuncts.size(); ++i) {
-    acc = Expr::And(acc, conjuncts[i].expr);
-  }
-  return acc;
 }
 
 }  // namespace ids::expr

@@ -4,9 +4,9 @@
 //
 // FILTER expressions whose top is a chain of ANDs are split into
 // conjuncts; each conjunct carries the UDFs it references. The planner
-// reorders conjuncts (cheapest estimated cost first, ties broken by
-// pruning power) and reassembles an equivalent AND chain. Because AND is
-// commutative and associative and conjunct evaluation is side-effect-free
+// orders conjuncts per rank (cheapest estimated cost first, ties broken by
+// pruning power) and the engine evaluates them in that order. Because AND
+// is commutative and associative and conjunct evaluation is side-effect-free
 // on the solution, reordering never changes the surviving row set — only
 // which conjunct gets to reject a row first.
 
@@ -25,9 +25,5 @@ struct Conjunct {
 /// Flattens nested ANDs into a conjunct list (left-to-right order).
 /// A non-AND expression yields a single conjunct.
 std::vector<Conjunct> flatten_conjuncts(const ExprPtr& root);
-
-/// Rebuilds a left-deep AND chain from conjuncts (in the given order).
-/// Must be called with at least one conjunct.
-ExprPtr rebuild_chain(const std::vector<Conjunct>& conjuncts);
 
 }  // namespace ids::expr

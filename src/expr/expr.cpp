@@ -242,23 +242,28 @@ Value eval_udf(const Expr& e, EvalContext& ctx) {
     ctx.cost += ctx.registry->charge_module_load(ctx.udf_ctx.rank, *info);
   }
 
+  return call_udf(*info, args, ctx);
+}
+
+}  // namespace
+
+Value call_udf(const udf::UdfInfo& info, std::span<const Value> args,
+               EvalContext& ctx) {
   udf::UdfResult r = [&] {
     // Attribute execution to the UDF by name; UdfInfo outlives every
     // query, so the pointer stays valid for the profiler.
-    telemetry::ProfileScope udf_scope(info->name.c_str());
-    return info->fn(ctx.udf_ctx, args);
+    telemetry::ProfileScope udf_scope(info.name.c_str());
+    return info.fn(ctx.udf_ctx, args);
   }();
   auto scaled = static_cast<sim::Nanos>(
       static_cast<double>(r.modeled_cost) /
       (ctx.speed_factor > 0.0 ? ctx.speed_factor : 1.0));
   ctx.cost += scaled;
   if (ctx.profiler) {
-    ctx.profiler->record_exec(ctx.udf_ctx.rank, info->name, scaled);
+    ctx.profiler->record_exec(ctx.udf_ctx.rank, info.name, scaled);
   }
   return std::move(r.value);
 }
-
-}  // namespace
 
 Value eval(const Expr& e, EvalContext& ctx) {
   ctx.cost += kExprNodeCost;

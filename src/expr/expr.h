@@ -115,4 +115,11 @@ constexpr sim::Nanos kExprNodeCost = 25;
 /// null (which is falsy in FILTER position).
 Value eval(const Expr& e, EvalContext& ctx);
 
+/// Runs the resolved UDF `info` on `args` for the context's rank, under a
+/// ProfileScope named after it. Its modeled cost, divided by the rank's
+/// speed factor, is added to ctx.cost and recorded as one profiler exec.
+/// Charging the module load is left to the caller.
+Value call_udf(const udf::UdfInfo& info, std::span<const Value> args,
+               EvalContext& ctx);
+
 }  // namespace ids::expr

@@ -7,7 +7,7 @@
 //
 //   personalized all-to-all — per rank: one alpha per peer message plus
 //                max(bytes_sent, bytes_received) / bandwidth, split by
-//                intra- vs inter-node traffic (charge_traffic).
+//                intra- vs inter-node traffic (AllToAll, charge_traffic).
 //   gather/reduce/broadcast — log2(P) tree: each step costs
 //                alpha + step_bytes / bandwidth (charge_tree_collective).
 //
@@ -16,6 +16,7 @@
 // only once the evaluations are complete").
 
 #include <cstdint>
+#include <vector>
 
 #include "runtime/topology.h"
 #include "sim/virtual_clock.h"
@@ -32,7 +33,7 @@ struct TrafficSummary {
 };
 
 /// Charges one rank's clock for the traffic it sourced/sank, then the
-/// caller barriers. Exposed for testing.
+/// caller barriers.
 inline void charge_traffic(sim::VirtualClock& clock, const Topology& topo,
                            const TrafficSummary& t) {
   const auto& intra = topo.fabric.intra_node;
@@ -47,6 +48,42 @@ inline void charge_traffic(sim::VirtualClock& clock, const Topology& topo,
                             inter.bytes_per_second);
   clock.advance(cost);
 }
+
+/// One personalized all-to-all: each rank's intra- and inter-node bytes
+/// and message count, recorded as the caller moves rows and charged to
+/// every rank's clock at the end.
+class AllToAll {
+ public:
+  explicit AllToAll(const Topology& topo)
+      : topo_(topo), traffic_(static_cast<std::size_t>(topo.num_ranks())) {}
+
+  /// Records one message of `bytes` from rank src to rank dst (src != dst).
+  void send(int src, int dst, std::uint64_t bytes) {
+    TrafficSummary& ts = traffic_[static_cast<std::size_t>(src)];
+    TrafficSummary& td = traffic_[static_cast<std::size_t>(dst)];
+    ++ts.messages;
+    if (topo_.same_node(src, dst)) {
+      ts.intra_sent += bytes;
+      td.intra_recv += bytes;
+    } else {
+      ts.inter_sent += bytes;
+      td.inter_recv += bytes;
+    }
+  }
+
+  /// Charges every rank's clock for its traffic (charge_traffic), then
+  /// barriers.
+  void charge(sim::ClockSet& clocks) const {
+    for (std::size_t r = 0; r < clocks.size(); ++r) {
+      charge_traffic(clocks.at(r), topo_, traffic_[r]);
+    }
+    clocks.barrier();
+  }
+
+ private:
+  const Topology& topo_;
+  std::vector<TrafficSummary> traffic_;
+};
 
 /// Charges all clocks for a log2(P)-step tree collective moving
 /// `bytes_per_step` per step, then barriers.

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/check.h"
 #include "sim/time.h"
 
 namespace ids::sim {
@@ -24,7 +23,6 @@ class VirtualClock {
   void advance(Nanos ns) { now_ += ns; }
   /// Moves forward to `t` if `t` is later (never moves backwards).
   void raise_to(Nanos t) { now_ = std::max(now_, t); }
-  void reset() { now_ = 0; }
 
  private:
   Nanos now_ = 0;
@@ -50,17 +48,6 @@ class ClockSet {
     Nanos m = 0;
     for (const auto& c : clocks_) m = std::max(m, c.now());
     return m;
-  }
-
-  Nanos min() const {
-    IDS_CHECK(!clocks_.empty());
-    Nanos m = clocks_[0].now();
-    for (const auto& c : clocks_) m = std::min(m, c.now());
-    return m;
-  }
-
-  void reset() {
-    for (auto& c : clocks_) c.reset();
   }
 
  private:

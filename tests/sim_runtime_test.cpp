@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "runtime/exchange.h"
 #include "runtime/hetero.h"
 #include "runtime/rank_exec.h"
@@ -111,6 +114,53 @@ TEST(Exchange, ChargeTrafficIntraCheaperThanInter) {
   runtime::charge_traffic(intra, topo, ti);
   runtime::charge_traffic(inter, topo, te);
   EXPECT_LT(intra.now(), inter.now());
+
+  // AllToAll books each message on both ends, on the link its ranks share,
+  // then charges every rank and barriers: exactly the hand-built summaries
+  // charged rank by rank. The barrier leaves only the slowest rank
+  // visible, so each message set makes a different end dominate: a mixed
+  // sender, a mixed receiver, and a rank paying mostly per-message alpha.
+  struct Message {
+    int src;
+    int dst;
+    std::uint64_t bytes;
+  };
+  const auto n = static_cast<std::size_t>(topo.num_ranks());
+  auto expect_hand_built = [&](const std::vector<Message>& messages) {
+    std::vector<runtime::TrafficSummary> expected(n);
+    runtime::AllToAll all_to_all(topo);
+    for (const Message& m : messages) {
+      all_to_all.send(m.src, m.dst, m.bytes);
+      auto& ts = expected[static_cast<std::size_t>(m.src)];
+      auto& td = expected[static_cast<std::size_t>(m.dst)];
+      ++ts.messages;
+      if (m.src / topo.ranks_per_node == m.dst / topo.ranks_per_node) {
+        ts.intra_sent += m.bytes;
+        td.intra_recv += m.bytes;
+      } else {
+        ts.inter_sent += m.bytes;
+        td.inter_recv += m.bytes;
+      }
+    }
+    sim::ClockSet charged(n);
+    all_to_all.charge(charged);
+    sim::ClockSet by_hand(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      runtime::charge_traffic(by_hand.at(r), topo, expected[r]);
+    }
+    EXPECT_GT(by_hand.barrier(), 0u);
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(charged.at(r).now(), by_hand.at(r).now()) << "rank " << r;
+    }
+  };
+  expect_hand_built({{0, 1, 1 << 20}, {0, 40, 1 << 20}, {0, 2, 7}});
+  expect_hand_built(
+      {{10, 2, 1 << 20}, {11, 2, 1 << 20}, {40, 2, 1 << 20}, {41, 2, 1 << 20}});
+  std::vector<Message> fan_out;
+  for (int dst = 1; dst < topo.num_ranks(); ++dst) {
+    fan_out.push_back({0, dst, 1});
+  }
+  expect_hand_built(fan_out);
 }
 
 TEST(Exchange, TreeCollectiveScalesLogarithmically) {

@@ -42,7 +42,6 @@ class ScopedLevel {
 /// Every level this host can actually run, scalar first.
 std::vector<Level> supported_levels() {
   std::vector<Level> out{Level::kScalar};
-  if (simd::detected_level() >= Level::kSse42) out.push_back(Level::kSse42);
   if (simd::detected_level() >= Level::kAvx2) out.push_back(Level::kAvx2);
   return out;
 }
@@ -55,14 +54,17 @@ std::vector<float> random_vec(Rng& rng, std::size_t n) {
 
 TEST(SimdDispatch, ParseAndNames) {
   EXPECT_EQ(simd::parse_level("scalar"), Level::kScalar);
-  EXPECT_EQ(simd::parse_level("sse4.2"), Level::kSse42);
-  EXPECT_EQ(simd::parse_level("sse42"), Level::kSse42);
+  EXPECT_EQ(simd::parse_level("AVX2"), Level::kAvx2);
   EXPECT_EQ(simd::parse_level("avx2"), Level::kAvx2);
+  // The retired SSE4.2 level parses as junk, so IDS_SIMD_LEVEL=sse4.2
+  // falls back to auto-detection.
+  EXPECT_EQ(simd::parse_level("sse4.2"), std::nullopt);
   EXPECT_EQ(simd::parse_level("neon"), std::nullopt);
   EXPECT_EQ(simd::parse_level(""), std::nullopt);
   EXPECT_STREQ(simd::level_name(Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::level_name(Level::kSse42), "sse4.2");
   EXPECT_STREQ(simd::level_name(Level::kAvx2), "avx2");
+  // The ids_simd_level gauge reports the enum value.
+  EXPECT_EQ(static_cast<int>(Level::kAvx2), 2);
 }
 
 TEST(SimdDispatch, SetLevelClampsToDetected) {

@@ -20,6 +20,7 @@
 #include "cache/manager.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
+#include "expr/chain.h"
 #include "telemetry/metrics.h"
 #include "telemetry/query_stats.h"
 #include "telemetry/trace.h"
@@ -568,6 +569,20 @@ TEST(QueryStats, RingStampsSequencesAndEvictsOldest) {
 
 // ---- Engine integration --------------------------------------------------
 
+/// Value of a span attr; fails the test and returns "" when it is absent.
+std::string attr_of(const Span& s, std::string_view key) {
+  for (const auto& [k, v] : s.attrs) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << "span " << s.name << " has no attr " << key;
+  return "";
+}
+
+std::uint64_t count_attr_of(const Span& s, std::string_view key) {
+  const std::string v = attr_of(s, key);
+  return v.empty() ? 0 : std::stoull(v);
+}
+
 /// Tiny graph fixture mirroring tests/engine_test.cpp: 10 people with an
 /// age feature and a friendship ring, sharded over 4 ranks.
 class TelemetryEngineFixture : public ::testing::Test {
@@ -728,6 +743,99 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   EXPECT_EQ(reg.counter("ids_engine_queries_total")->value(), 1u);
 }
 
+// The per-rank layer of the span tree: every per-rank operator opens one
+// span per rank under its stage, row-count attrs add up, and each INVOKE
+// call hangs off its rank's invoke span. The warm run reads the cache, so
+// cache.get spans carry hit=1 there.
+TEST_F(TelemetryEngineFixture, RankSpansCoverEveryRankAndInvokeCall) {
+  Tracer tracer;
+  MetricsRegistry reg;
+  cache::CacheConfig cc;
+  cc.num_nodes = 2;
+  cc.metrics = &reg;
+  cache::CacheManager cache(cc);
+
+  EngineOptions opts;
+  opts.topology = runtime::Topology::laptop(kRanks);
+  opts.cache = &cache;
+  opts.tracer = &tracer;
+  opts.metrics = &reg;
+  IdsEngine eng(opts, triples_.get(), features_.get());
+  register_udfs(&eng);
+
+  for (const char* run : {"cold", "warm"}) {
+    SCOPED_TRACE(run);
+    const std::size_t first_span = tracer.size();
+    QueryResult r = eng.execute(full_query());
+    ASSERT_EQ(tracer.dropped(), 0u);
+    const std::vector<Span> spans = tracer.snapshot_tail(first_span);
+    auto find = [&spans](SpanId id) -> const Span* {
+      for (const Span& s : spans) {
+        if (s.id == id) return &s;
+      }
+      return nullptr;
+    };
+
+    // Stage -> the rank span its operator records on every rank.
+    const std::pair<const char*, const char*> operators[] = {
+        {"scan", "scan"},         {"join", "join:extend"},
+        {"filter", "filter"},     {"distinct", "distinct"},
+        {"invoke:score", "invoke"}};
+    for (const auto& [stage_name, rank_name] : operators) {
+      SCOPED_TRACE(stage_name);
+      const Span* stage = nullptr;
+      for (const Span& s : spans) {
+        if (s.category == "stage" && s.name == stage_name) stage = &s;
+      }
+      ASSERT_NE(stage, nullptr);
+      std::vector<int> ranks;
+      std::uint64_t rows_kept = 0;
+      for (const Span& s : spans) {
+        if (s.category != "rank" || s.name != rank_name) continue;
+        ranks.push_back(s.rank);
+        EXPECT_EQ(s.parent, stage->id);
+        EXPECT_LE(stage->virt_start, s.virt_start);
+        EXPECT_LE(s.virt_start, s.virt_end);
+        EXPECT_LE(s.virt_end, stage->virt_end);
+        if (s.name == "filter" || s.name == "distinct") {
+          const std::uint64_t kept = count_attr_of(s, "rows_kept");
+          EXPECT_GE(count_attr_of(s, "rows_in"), kept);
+          rows_kept += kept;
+        }
+      }
+      std::sort(ranks.begin(), ranks.end());
+      EXPECT_EQ(ranks, (std::vector<int>{0, 1, 2, 3}));
+      if (std::string_view(rank_name) == "filter") {
+        EXPECT_EQ(rows_kept, r.rows_after_filters);
+      }
+      if (std::string_view(rank_name) == "distinct") {
+        EXPECT_EQ(rows_kept, r.account.rows_gathered);
+      }
+    }
+
+    std::size_t hits = 0;
+    std::size_t udf_calls = 0;
+    for (const Span& s : spans) {
+      if (s.name != "cache.get" && s.category != "udf") continue;
+      const Span* parent = find(s.parent);
+      ASSERT_NE(parent, nullptr) << s.name;
+      EXPECT_EQ(parent->category, "rank");
+      EXPECT_EQ(parent->name, "invoke");
+      EXPECT_EQ(parent->rank, s.rank);
+      if (s.category == "udf") {
+        ++udf_calls;
+      } else {
+        hits += count_attr_of(s, "hit");
+      }
+    }
+    EXPECT_EQ(hits, r.cache_hits);
+    EXPECT_EQ(udf_calls, r.rows_invoked);
+    if (std::string_view(run) == "warm") {
+      EXPECT_GT(r.cache_hits, 0u);
+    }
+  }
+}
+
 TEST_F(TelemetryEngineFixture, UdfInstrumentsMatchProfilerPerUdf) {
   MetricsRegistry reg;
   EngineOptions opts;
@@ -862,8 +970,16 @@ TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
   IdsEngine eng(opts, triples_.get(), features_.get());
   register_udfs(&eng);
 
+  // An expensive conjunct written first: once a run has profiled both
+  // UDFs, the planner moves the cheap `coarse` ahead of it.
   Query q = full_query();
   q.invokes[0].use_cache = false;  // no cache configured in this engine
+  q.filters.insert(q.filters.begin(),
+                   Expr::Compare(expr::CmpOp::kGt,
+                                 Expr::Udf("score", {Expr::Var("x")}),
+                                 Expr::Constant(0.0)));
+  (void)eng.execute(q);
+  tracer.clear();
   std::string plan = eng.explain(q);
   QueryResult r = eng.execute(q);
 
@@ -888,6 +1004,42 @@ TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {
     EXPECT_NE(std::find(traced.begin(), traced.end(), want), traced.end())
         << "missing stage " << want;
   }
+
+  // The filter stage ran the plan explain() printed: its rank-0 order
+  // (conjunct indices in written order) and its count of distinct orders.
+  std::vector<std::string> written;
+  for (const auto& f : q.filters) {
+    for (const auto& c : expr::flatten_conjuncts(f)) {
+      written.push_back(c.expr->to_string());
+    }
+  }
+  const std::string header = "filter chain (rank 0 order, ";
+  const std::size_t at = plan.find(header);
+  ASSERT_NE(at, std::string::npos) << plan;
+  const std::size_t explained_orders =
+      std::stoul(plan.substr(at + header.size()));
+  std::string explained_rank0;
+  std::size_t line = plan.find('\n', at) + 1;
+  for (std::size_t k = 0; k < written.size(); ++k) {
+    const std::size_t end = plan.find('\n', line);
+    std::string text = plan.substr(line, plan.find(" est_cost", line) - line);
+    text = text.substr(text.find_first_not_of(' '));
+    text = text.substr(0, text.find_last_not_of(' ') + 1);
+    const auto it = std::find(written.begin(), written.end(), text);
+    ASSERT_NE(it, written.end()) << "explain printed " << text;
+    if (!explained_rank0.empty()) explained_rank0 += ',';
+    explained_rank0 += std::to_string(it - written.begin());
+    line = end + 1;
+  }
+  EXPECT_EQ(explained_rank0, "1,0");  // coarse first
+  const Span* filter = nullptr;
+  const std::vector<Span> spans = tracer.snapshot();
+  for (const Span& s : spans) {
+    if (s.category == "stage" && s.name == "filter") filter = &s;
+  }
+  ASSERT_NE(filter, nullptr);
+  EXPECT_EQ(attr_of(*filter, "rank0_order"), explained_rank0);
+  EXPECT_EQ(count_attr_of(*filter, "distinct_orders"), explained_orders);
 
   // The text report covers the stages too (with the stats.h summary).
   std::string report = tracer.to_text_report();

@@ -22,62 +22,13 @@ cd "$repo"
 echo "==> lint"
 tools/lint.sh
 
-echo "==> ids-analyzer (src/, SARIF, gated on tools/analyzer_baseline.txt)"
 cmake -B build-analyze -S . > build-analyze-configure.log 2>&1 || {
   cat build-analyze-configure.log >&2; exit 1
 }
 rm -f build-analyze-configure.log
 cmake --build build-analyze --target ids-analyzer -j "$jobs"
-analyzer=build-analyze/tools/analyzer/ids-analyzer
-# SARIF and the stats JSON land next to the build so CI can archive them;
-# findings outside the committed baseline fail the gate.
-"$analyzer" --format=sarif --stats \
-  --stats-json=build-analyze/ids-analyzer-stats.json \
-  --baseline=tools/analyzer_baseline.txt src \
-  > build-analyze/ids-analyzer.sarif
-# Baseline drift: a fixed finding must also be removed from the baseline,
-# so regenerating it has to reproduce the committed file byte-for-byte.
-fresh_baseline=$(mktemp)
-"$analyzer" --write-baseline="$fresh_baseline" src > /dev/null || true
-if ! diff -u tools/analyzer_baseline.txt "$fresh_baseline"; then
-  rm -f "$fresh_baseline"
-  echo "check: tools/analyzer_baseline.txt is stale; regenerate with" >&2
-  echo "  $analyzer --write-baseline=tools/analyzer_baseline.txt src" >&2
-  exit 1
-fi
-rm -f "$fresh_baseline"
-
-echo "==> ids-analyzer wall-time budget"
-# The summary/spawner fixed points must stay effectively linear in the
-# corpus; a superlinear blowup shows up here long before it hurts a
-# developer. The budget is ~200x the current wall time on src/.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - build-analyze/ids-analyzer-stats.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-total = doc["phase_seconds"]["total"]
-budget = 20.0
-assert total <= budget, \
-    "analyzer spent %.3fs on src/ (budget %.0fs)" % (total, budget)
-print("analyzer wall time %.3fs (budget %.0fs)" % (total, budget))
-EOF
-fi
-
-echo "==> ids-analyzer certify (concurrent-exec shared-state certificate)"
-# The certificate must pass (exit 0) AND match the committed inventory, so
-# every newly waived or reclassified entry shows up in review.
-fresh_cert=$(mktemp)
-"$analyzer" --certify=concurrent-exec src > "$fresh_cert"
-if ! diff -u tools/concurrency_certificate.json "$fresh_cert"; then
-  rm -f "$fresh_cert"
-  echo "check: tools/concurrency_certificate.json is stale; regenerate with" >&2
-  echo "  $analyzer --certify=concurrent-exec src > tools/concurrency_certificate.json" >&2
-  exit 1
-fi
-rm -f "$fresh_cert"
-
-echo "==> ids-analyzer self-test (dogfood + resolution ratio)"
-bash tests/analyzer_selftest.sh "$analyzer"
+# SARIF and the stats JSON land next to the build so CI can archive them.
+tools/analyzer_gate.sh build-analyze/tools/analyzer/ids-analyzer build-analyze
 
 echo "==> trace smoke (ncnpr_workflow --trace/--metrics)"
 cmake --build build-analyze --target ncnpr_workflow -j "$jobs"

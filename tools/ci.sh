@@ -13,50 +13,10 @@ cd "$repo"
 echo "==> lint"
 tools/lint.sh
 
-echo "==> ids-analyzer (src/, SARIF, gated on tools/analyzer_baseline.txt)"
 cmake -B build-ci-analyze -S . > /dev/null
 cmake --build build-ci-analyze --target ids-analyzer -j "$jobs"
-analyzer=build-ci-analyze/tools/analyzer/ids-analyzer
-"$analyzer" --format=sarif --stats \
-  --stats-json=build-ci-analyze/ids-analyzer-stats.json \
-  --baseline=tools/analyzer_baseline.txt src \
-  > build-ci-analyze/ids-analyzer.sarif
-fresh_baseline=$(mktemp)
-"$analyzer" --write-baseline="$fresh_baseline" src > /dev/null || true
-if ! diff -u tools/analyzer_baseline.txt "$fresh_baseline"; then
-  rm -f "$fresh_baseline"
-  echo "ci: tools/analyzer_baseline.txt is stale; regenerate with" >&2
-  echo "  $analyzer --write-baseline=tools/analyzer_baseline.txt src" >&2
-  exit 1
-fi
-rm -f "$fresh_baseline"
-
-echo "==> ids-analyzer wall-time budget"
-if command -v python3 > /dev/null 2>&1; then
-  python3 - build-ci-analyze/ids-analyzer-stats.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-total = doc["phase_seconds"]["total"]
-budget = 20.0
-assert total <= budget, \
-    "analyzer spent %.3fs on src/ (budget %.0fs)" % (total, budget)
-print("analyzer wall time %.3fs (budget %.0fs)" % (total, budget))
-EOF
-fi
-
-echo "==> ids-analyzer certify (concurrent-exec shared-state certificate)"
-fresh_cert=$(mktemp)
-"$analyzer" --certify=concurrent-exec src > "$fresh_cert"
-if ! diff -u tools/concurrency_certificate.json "$fresh_cert"; then
-  rm -f "$fresh_cert"
-  echo "ci: tools/concurrency_certificate.json is stale; regenerate with" >&2
-  echo "  $analyzer --certify=concurrent-exec src > tools/concurrency_certificate.json" >&2
-  exit 1
-fi
-rm -f "$fresh_cert"
-
-echo "==> ids-analyzer self-test (dogfood + resolution ratio)"
-bash tests/analyzer_selftest.sh "$analyzer"
+tools/analyzer_gate.sh build-ci-analyze/tools/analyzer/ids-analyzer \
+  build-ci-analyze
 
 run_config() {  # $1 = build dir, $2... = extra cmake args
   local dir="$1"
