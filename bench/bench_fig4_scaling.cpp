@@ -54,7 +54,7 @@ int main() {
     row.scanjoin = r.stage_seconds("scan") + r.stage_seconds("join") +
                    r.stage_seconds("distinct") + r.stage_seconds("gather");
     row.rebalance = r.stage_seconds("rebalance");
-    row.compounds = r.rows_invoked;
+    row.compounds = static_cast<std::size_t>(r.account.udf_invocations);
     row.survived = r.rows_after_filters;
     rows.push_back(row);
     if (nodes == 256) {

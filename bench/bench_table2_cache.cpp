@@ -106,7 +106,8 @@ int main() {
     core::QueryResult cached = run_query(threshold, &cache, true);
 
     std::printf("%12.2f %10zu %18.2f %16.2f %8.1fx\n", threshold,
-                uncached.rows_invoked, uncached.total_seconds,
+                static_cast<std::size_t>(uncached.account.udf_invocations),
+                uncached.total_seconds,
                 cached.total_seconds,
                 uncached.total_seconds / cached.total_seconds);
   }

@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   cache::CacheManager cache(cc);
 
   telemetry::Tracer tracer;
-  telemetry::TraceRing trace_ring;
-  telemetry::QueryStatsRing query_stats;
+  telemetry::QueryRing query_ring;
 
   core::EngineOptions opts;
   opts.topology = runtime::Topology::laptop(kRanks);
@@ -122,13 +121,11 @@ int main(int argc, char** argv) {
   // The obs server's /tracez needs span trees, so --serve-obs implies
   // tracing even without a --trace output file.
   if (trace_path != nullptr || obs_port >= 0) opts.tracer = &tracer;
-  opts.trace_ring = &trace_ring;
-  opts.query_stats = &query_stats;
+  opts.query_ring = &query_ring;
 
   telemetry::ObsServerOptions obs_opts;
   obs_opts.port = static_cast<std::uint16_t>(obs_port > 0 ? obs_port : 0);
-  obs_opts.traces = &trace_ring;
-  obs_opts.query_stats = &query_stats;
+  obs_opts.queries = &query_ring;
 #ifdef NDEBUG
   obs_opts.build_type = "Release";
 #else
@@ -163,12 +160,15 @@ int main(int argc, char** argv) {
     core::Query q = core::make_ncnpr_query(data, t, /*with_docking=*/true,
                                            /*docking_cached=*/true);
     core::QueryResult r = engine.execute(q);
+    const telemetry::QueryResourceAccount& a = r.account;
     std::printf("\n%s (sw>=%.2f, pIC50>=%.1f, DTBA>=%.1f)\n", label, sw,
                 pic50, dtba);
     std::printf("  %zu candidate pairs -> %zu docked compounds in %.1f "
                 "modeled s (cache: %zu hits / %zu misses)\n",
-                r.rows_after_filters, r.rows_invoked + r.cache_hits,
-                r.total_seconds, r.cache_hits, r.cache_misses);
+                r.rows_after_filters,
+                static_cast<std::size_t>(a.udf_invocations + a.cache_hits()),
+                r.total_seconds, static_cast<std::size_t>(a.cache_hits()),
+                static_cast<std::size_t>(a.cache_misses));
     int cpd = r.solutions.id_var_index("cpd");
     int energy = r.solutions.num_var_index("energy");
     std::size_t show = std::min<std::size_t>(5, r.solutions.num_rows());

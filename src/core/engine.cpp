@@ -89,7 +89,7 @@ class QueryExecution {
     stage_wall_start_ = query_wall_start_;
     if (opts_.cache != nullptr) cache_query_baseline_ = opts_.cache->stats();
     if (tracer_ != nullptr) {
-      // First span index of this query, so the trace ring gets exactly
+      // First span index of this query, so the query ring gets exactly
       // this query's tree out of a tracer shared across queries.
       trace_base_ = tracer_->size();
       root_span_ =
@@ -120,30 +120,30 @@ class QueryExecution {
 
     gather_and_finish(query);
     finish_account();
+    const telemetry::QueryResourceAccount& acct = result_.account;
     if (tracer_ != nullptr) {
       tracer_->add_attr(
           root_span_, "rows",
           static_cast<std::uint64_t>(result_.solutions.num_rows()));
-      tracer_->add_attr(root_span_, "cache_hits",
-                        static_cast<std::uint64_t>(result_.cache_hits));
-      tracer_->add_attr(root_span_, "cache_misses",
-                        static_cast<std::uint64_t>(result_.cache_misses));
-      tracer_->add_attr(root_span_, "rows_partitioned",
-                        result_.account.rows_partitioned);
-      tracer_->add_attr(root_span_, "udf_invocations",
-                        result_.account.udf_invocations);
+      tracer_->add_attr(root_span_, "cache_hits", acct.cache_hits());
+      tracer_->add_attr(root_span_, "cache_misses", acct.cache_misses);
+      tracer_->add_attr(root_span_, "rows_partitioned", acct.rows_partitioned);
+      tracer_->add_attr(root_span_, "udf_invocations", acct.udf_invocations);
       tracer_->add_attr(root_span_, "peak_solution_bytes",
-                        result_.account.peak_solution_bytes);
+                        acct.peak_solution_bytes);
       tracer_->add_attr(root_span_, "divergence_seconds",
-                        result_.account.divergence_seconds());
+                        acct.divergence_seconds());
       tracer_->end_span(root_span_, last_mark_);
     }
-    if (opts_.query_stats != nullptr) {
-      result_.account.sequence = opts_.query_stats->push(result_.account);
-    }
-    if (opts_.trace_ring != nullptr && tracer_ != nullptr) {
-      opts_.trace_ring->push(tracer_->snapshot_tail(trace_base_),
-                             tracer_->dropped());
+    if (opts_.query_ring != nullptr) {
+      std::vector<telemetry::Span> spans;
+      std::uint64_t dropped = 0;
+      if (tracer_ != nullptr) {
+        spans = tracer_->snapshot_tail(trace_base_);
+        dropped = tracer_->dropped();
+      }
+      result_.account.sequence =
+          opts_.query_ring->push(acct, std::move(spans), dropped);
     }
     return std::move(result_);
   }
@@ -185,54 +185,57 @@ class QueryExecution {
         tracer_->begin_span(stage_name_, "stage", root_span_, -1, last_mark_);
   }
 
-  /// Ends the open pipeline stage: synchronizes clocks and records the
-  /// stage's critical-path duration (as a StageTiming, as the stage trace
-  /// span's modeled range — bit-identical, both are `now - last_mark_` —
-  /// and as an ids_engine_stage_seconds observation).
+  /// Ends the open pipeline stage: synchronizes clocks, closes the stage
+  /// span at the barrier time and appends the stage's one record, a
+  /// StageAccount whose modeled time is `now - last_mark_` (the span's
+  /// modeled range, bit-identical). The ids_engine_stage_seconds
+  /// observation reads that entry, and the SolutionTable high-water mark
+  /// is sampled here, at every barrier.
   void mark() {
-    sim::Nanos now = clocks_.barrier();
-    double seconds = sim::to_seconds(now - last_mark_);
+    const sim::Nanos now = clocks_.barrier();
     const std::uint64_t wall_now = telemetry::Tracer::wall_now_ns();
-    const double wall_seconds =
-        static_cast<double>(wall_now - stage_wall_start_) * 1e-9;
     if (tracer_ != nullptr) {
       // kNoSpan when the tracer's cap dropped the stage span: end_span is
       // then a no-op, and the drop was already counted once.
       tracer_->end_span(stage_span_, now);
       stage_span_ = telemetry::kNoSpan;
     }
-    stage_wall_start_ = wall_now;
+    telemetry::QueryResourceAccount& acct = result_.account;
+    acct.stages.push_back(
+        {std::move(stage_name_), sim::to_seconds(now - last_mark_),
+         static_cast<double>(wall_now - stage_wall_start_) * 1e-9});
+    const telemetry::StageAccount& stage = acct.stages.back();
     metrics_
         ->histogram("ids_engine_stage_seconds",
                     telemetry::latency_seconds_buckets(),
-                    {{"stage", stage_name_}})
-        ->observe(seconds);
-    // Resource accounting: modeled-vs-wall per stage, and the
-    // SolutionTable high-water mark sampled at every barrier.
-    result_.account.stages.push_back({stage_name_, seconds, wall_seconds});
+                    {{"stage", stage.stage}})
+        ->observe(stage.modeled_seconds);
     std::uint64_t solution_bytes = 0;
     for (const auto& t : parts_) {
       solution_bytes +=
           static_cast<std::uint64_t>(t.num_rows() * t.row_bytes());
     }
-    peak_solution_bytes_ = std::max(peak_solution_bytes_, solution_bytes);
-    result_.stages.push_back({std::move(stage_name_), seconds});
+    acct.peak_solution_bytes =
+        std::max(acct.peak_solution_bytes, solution_bytes);
+    stage_wall_start_ = wall_now;
     last_mark_ = now;
   }
 
   /// Seals result_.account at the end of run(): whole-query times, cache
-  /// tier deltas over the query, and the ids_query_* instruments.
+  /// tier deltas over the query, and the ids_query_* instruments. The
+  /// result's stage list and total are copied from the account.
   void finish_account() {
     telemetry::QueryResourceAccount& acct = result_.account;
+    // After the gather barrier every clock reads last_mark_.
     acct.modeled_seconds = sim::to_seconds(last_mark_);
     acct.wall_seconds =
         static_cast<double>(telemetry::Tracer::wall_now_ns() -
                             query_wall_start_) *
         1e-9;
-    acct.rows_partitioned = rows_partitioned_;
-    acct.udf_invocations = static_cast<std::uint64_t>(result_.rows_invoked);
-    acct.peak_solution_bytes = peak_solution_bytes_;
-    acct.cache_misses = static_cast<std::uint64_t>(result_.cache_misses);
+    result_.total_seconds = acct.modeled_seconds;
+    for (const telemetry::StageAccount& st : acct.stages) {
+      result_.stages.push_back({st.stage, st.modeled_seconds});
+    }
     if (opts_.cache != nullptr) {
       const cache::CacheStats d =
           opts_.cache->stats().since(cache_query_baseline_);
@@ -389,7 +392,7 @@ class QueryExecution {
         const auto rows = partition.rows_of(i);
         out[static_cast<std::size_t>(dst)].append_rows_from(table, rows);
         if (traffic == nullptr || dst == src) continue;
-        rows_partitioned_ += rows.size();
+        result_.account.rows_partitioned += rows.size();
         traffic->send(src, dst, row_bytes * rows.size());
       }
       table.clear();
@@ -435,7 +438,7 @@ class QueryExecution {
         parts_[static_cast<std::size_t>(dst)].append_row_range_from(
             table, n - take, n);
         table.truncate(n - take);
-        rows_partitioned_ += take;
+        result_.account.rows_partitioned += take;
         traffic.send(src, dst, row_bytes * take);
         deficits[d].need -= take;
         if (deficits[d].need == 0) ++d;
@@ -1004,13 +1007,13 @@ class QueryExecution {
 
   void apply_distinct(const std::string& var) {
     if (!has_schema()) return;
-    charge_operator_overhead();
     int idx = parts_[0].id_var_index(var);
     if (idx < 0) {
       IDS_WARN << "distinct variable ?" << var << " not bound; skipping";
       return;
     }
     stage_begin("distinct");
+    charge_operator_overhead();
     // Co-locate equal values, then keep the first row of each value.
     shuffle_rows(idx);
     each_rank("rank.distinct", "distinct", [&](int r, telemetry::SpanId span) {
@@ -1074,12 +1077,6 @@ class QueryExecution {
     for (auto& t : parts_) t.add_num_var(inv.out_var);
     const bool cached = inv.use_cache && opts_.cache != nullptr;
     stage_begin("invoke:" + inv.udf);
-
-    // Hits and misses are derived from the cache's own telemetry counters
-    // (delta over this stage) — the exact numbers the Prometheus export
-    // reports — instead of a parallel set of hand-maintained atomics.
-    cache::CacheStats cache_before;
-    if (cached) cache_before = opts_.cache->stats();
 
     std::atomic<std::size_t> invoked{0};
 
@@ -1147,26 +1144,21 @@ class QueryExecution {
         t.set_num(row, out_col, value);
       }
     });
-    std::size_t stage_hits = 0;
-    std::size_t stage_misses = 0;
-    if (cached) {
-      cache::CacheStats delta = opts_.cache->stats().since(cache_before);
-      stage_hits = static_cast<std::size_t>(delta.total_hits());
-      stage_misses = static_cast<std::size_t>(delta.misses);
-    }
-    result_.cache_hits += stage_hits;
-    result_.cache_misses += stage_misses;
-    result_.rows_invoked += invoked.load();
+    result_.account.udf_invocations += invoked.load();
 
     // Shared-server queueing of the cache's (de)serialization service: a
     // single server processing every cache operation of this stage
     // back-to-back bounds the stage below by ops x service time (the
     // saturated busy period). Per-op latency was already charged by the
     // cache; this enforces the aggregate-throughput cap deterministically.
+    // Each row makes one get, which counts one hit (deserialized) or one
+    // miss (followed by one put), so the stage's operations equal its
+    // rows. Counting rows rather than reading the cache's shared counters
+    // keeps other clients' traffic off this query's clock.
     if (cached) {
       double service = opts_.cache->config().serialization_service_seconds;
       if (service > 0.0) {
-        std::uint64_t ops = stage_hits + stage_misses;  // get hit or put
+        const std::size_t ops = total_rows();
         sim::Nanos floor =
             last_mark_ +
             sim::from_seconds(service * static_cast<double>(ops));
@@ -1235,7 +1227,6 @@ class QueryExecution {
     }
 
     result_.solutions = std::move(merged);
-    result_.total_seconds = sim::to_seconds(clocks_.max());
   }
 
   const EngineOptions& opts_;
@@ -1259,14 +1250,12 @@ class QueryExecution {
   QueryResult result_;
   sim::Nanos last_mark_ = 0;
 
-  // Per-query resource accounting. rows_partitioned_ is only mutated from
-  // the serial exchange loops (route_by / redistribute_to_targets run on
-  // the engine thread), so it needs no synchronization.
+  // Per-query resource accounting; the account itself is result_.account,
+  // written only on the engine thread (the exchange loops and mark() run
+  // there), so it needs no synchronization.
   std::uint64_t query_wall_start_ = 0;
   std::size_t trace_base_ = 0;  // tracer_->size() at run() start
   cache::CacheStats cache_query_baseline_;
-  std::uint64_t rows_partitioned_ = 0;
-  std::uint64_t peak_solution_bytes_ = 0;
 };
 
 }  // namespace

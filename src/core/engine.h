@@ -70,12 +70,11 @@ struct EngineOptions {
   /// ids_engine_stage_seconds, ids_engine_rebalance_total). nullptr = the
   /// process-global registry.
   telemetry::MetricsRegistry* metrics = nullptr;
-  /// Observability rings (see src/telemetry): when set, every execute()
-  /// pushes its completed span tree / resource account, feeding the obs
-  /// server's /tracez and /statusz. The trace ring only receives spans
-  /// when `tracer` is also set.
-  telemetry::TraceRing* trace_ring = nullptr;
-  telemetry::QueryStatsRing* query_stats = nullptr;
+  /// Observability ring (see telemetry/query_stats.h): when set, every
+  /// execute() pushes its resource account and span tree (empty when
+  /// `tracer` is null) as one entry, feeding the obs server's /statusz
+  /// and /tracez.
+  telemetry::QueryRing* query_ring = nullptr;
   std::uint64_t seed = 0x1D5;
 };
 
@@ -86,19 +85,18 @@ struct StageTiming {
 
 struct QueryResult {
   graph::SolutionTable solutions;  // gathered, ordered, limited, projected
+  /// Copies of account.modeled_seconds and account.stages' modeled times,
+  /// kept because the end-to-end benchmark's modeled digest reads them.
   double total_seconds = 0.0;
   std::vector<StageTiming> stages;
 
   std::size_t rows_after_patterns = 0;
   std::size_t rows_after_filters = 0;
-  std::size_t rows_invoked = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   bool used_throughput_rebalance = false;
 
-  /// Per-query resource accounting (ISSUE 9): cache bytes by serving
-  /// tier, rows moved, UDF executions, peak SolutionTable bytes, and
-  /// per-stage modeled-vs-wall divergence. Always populated.
+  /// The query's one record: cache hits/misses and bytes by serving tier,
+  /// rows moved, UDF executions, peak SolutionTable bytes, and per-stage
+  /// modeled-vs-wall time. Always populated.
   telemetry::QueryResourceAccount account;
 
   /// Sum of stage times whose name starts with `prefix`.

@@ -11,6 +11,8 @@
 //              resource accounts, full registry snapshot.
 //   /tracez    Text report of the most recent completed query span
 //              trees (?fmt=json -> Chrome trace JSON of the newest).
+//              Both read one QueryRing, so a query's "sequence" in
+//              /statusz is its "trace #" in /tracez.
 //   /profilez  Sampling-profiler top table (?fmt=folded -> collapsed
 //              flamegraph stacks).
 //
@@ -42,8 +44,7 @@ namespace ids::telemetry {
 
 class MetricsRegistry;
 class Profiler;
-class TraceRing;
-class QueryStatsRing;
+class QueryRing;
 
 struct ObsServerOptions {
   /// Loopback only by default. "0.0.0.0" opts into external exposure.
@@ -54,9 +55,9 @@ struct ObsServerOptions {
   /// nullptr -> the process-global registry / profiler.
   MetricsRegistry* metrics = nullptr;
   Profiler* profiler = nullptr;
-  /// Optional rings; endpoints degrade gracefully when absent.
-  TraceRing* traces = nullptr;
-  QueryStatsRing* query_stats = nullptr;
+  /// Recent queries for /statusz and /tracez; both degrade gracefully
+  /// when absent.
+  QueryRing* queries = nullptr;
 
   /// Stamped into /statusz. Strings (not queried here) because the
   /// telemetry library sits below common/ and cannot call simd::.

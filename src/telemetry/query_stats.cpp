@@ -8,6 +8,12 @@
 
 namespace ids::telemetry {
 
+std::uint64_t QueryResourceAccount::cache_hits() const {
+  std::uint64_t hits = 0;
+  for (const TierBytes& t : tiers) hits += t.hits;
+  return hits;
+}
+
 std::string QueryResourceAccount::to_json() const {
   std::ostringstream os;
   os << "{\"sequence\":" << sequence
@@ -37,47 +43,69 @@ std::string QueryResourceAccount::to_json() const {
   return os.str();
 }
 
-QueryStatsRing::QueryStatsRing(std::size_t capacity) : capacity_(capacity) {
-  IDS_CHECK(capacity_ > 0);
+QueryRing::QueryRing(std::size_t capacity) : capacity_(capacity) {
+  IDS_CHECK(capacity_ > 0) << "QueryRing capacity must be positive";
 }
 
-std::uint64_t QueryStatsRing::push(QueryResourceAccount account) {
+namespace {
+
+/// Queries ever pushed: the newest entry's sequence (entries_ never
+/// empties once a query is pushed, since capacity_ > 0).
+std::uint64_t total_of(const std::vector<QueryRing::Entry>& entries) {
+  return entries.empty() ? 0 : entries.back().sequence;
+}
+
+}  // namespace
+
+std::uint64_t QueryRing::push(QueryResourceAccount account,
+                              std::vector<Span> spans, std::uint64_t dropped) {
   MutexLock lock(mutex_);
-  account.sequence = ++total_pushed_;
-  const std::uint64_t sequence = account.sequence;
-  entries_.push_back(std::move(account));
-  if (entries_.size() > capacity_) {
-    entries_.erase(entries_.begin());
-  }
+  const std::uint64_t sequence = total_of(entries_) + 1;
+  account.sequence = sequence;
+  entries_.push_back({sequence, std::move(account), std::move(spans), dropped});
+  if (entries_.size() > capacity_) entries_.erase(entries_.begin());
   return sequence;
 }
 
-std::vector<QueryResourceAccount> QueryStatsRing::snapshot() const {
+std::vector<QueryRing::Entry> QueryRing::snapshot() const {
   MutexLock lock(mutex_);
   return entries_;
 }
 
-std::uint64_t QueryStatsRing::total_pushed() const {
+std::uint64_t QueryRing::total_pushed() const {
   MutexLock lock(mutex_);
-  return total_pushed_;
+  return total_of(entries_);
 }
 
-std::string QueryStatsRing::to_json() const {
-  std::vector<QueryResourceAccount> entries;
-  std::uint64_t total = 0;
-  {
-    MutexLock lock(mutex_);
-    entries = entries_;
-    total = total_pushed_;
-  }
+std::string QueryRing::to_json() const {
+  const std::vector<Entry> entries = snapshot();
   std::ostringstream os;
-  os << "{\"total\":" << total << ",\"recent\":[";
-  for (std::size_t i = entries.size(); i-- > 0;) {
-    if (i + 1 != entries.size()) os << ',';
-    os << entries[i].to_json();
+  os << "{\"total\":" << total_of(entries) << ",\"recent\":[";
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (it != entries.rbegin()) os << ',';
+    os << it->account.to_json();
   }
   os << "]}";
   return os.str();
+}
+
+std::string QueryRing::to_text_report() const {
+  const std::vector<Entry> entries = snapshot();
+  std::ostringstream os;
+  os << "tracez: " << entries.size() << " of " << total_of(entries)
+     << " completed queries retained (capacity " << capacity_ << ")\n";
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    os << "\n=== trace #" << it->sequence << " ===\n"
+       << spans_to_text_report(it->spans, it->dropped);
+  }
+  return os.str();
+}
+
+std::string QueryRing::to_chrome_json() const {
+  MutexLock lock(mutex_);
+  if (entries_.empty()) return spans_to_chrome_json({}, 0);
+  const Entry& last = entries_.back();
+  return spans_to_chrome_json(last.spans, last.dropped);
 }
 
 }  // namespace ids::telemetry

@@ -6,7 +6,6 @@
 #include <map>
 #include <sstream>
 
-#include "common/check.h"
 #include "common/stats.h"
 #include "telemetry/metrics.h"
 
@@ -98,7 +97,7 @@ std::string spans_to_chrome_json(const std::vector<Span>& spans,
 std::string spans_to_text_report(const std::vector<Span>& spans,
                                  std::uint64_t dropped) {
   // Children lists in recording order; parent id < child id always holds.
-  // A tail snapshot (TraceRing entry) may carry ids offset from its
+  // A tail snapshot (QueryRing entry) may carry ids offset from its
   // indices, so parents are resolved relative to the first span's id.
   const SpanId base = spans.empty() ? 0 : spans.front().id - 1;
   std::vector<std::vector<std::size_t>> children(spans.size() + 1);
@@ -299,58 +298,6 @@ std::string Tracer::to_text_report() const {
     dropped_count = dropped_;
   }
   return spans_to_text_report(spans, dropped_count);
-}
-
-TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {
-  IDS_CHECK(capacity_ > 0) << "TraceRing capacity must be positive";
-}
-
-void TraceRing::push(std::vector<Span> spans, std::uint64_t dropped) {
-  MutexLock lock(mutex_);
-  Entry entry;
-  entry.sequence = ++total_pushed_;
-  entry.spans = std::move(spans);
-  entry.dropped = dropped;
-  entries_.push_back(std::move(entry));
-  if (entries_.size() > capacity_) {
-    entries_.erase(entries_.begin(),
-                   entries_.begin() +
-                       static_cast<std::ptrdiff_t>(entries_.size() - capacity_));
-  }
-}
-
-std::vector<TraceRing::Entry> TraceRing::snapshot() const {
-  MutexLock lock(mutex_);
-  return entries_;
-}
-
-std::uint64_t TraceRing::total_pushed() const {
-  MutexLock lock(mutex_);
-  return total_pushed_;
-}
-
-std::string TraceRing::to_text_report() const {
-  const std::vector<Entry> entries = snapshot();
-  std::ostringstream os;
-  std::uint64_t total;
-  {
-    MutexLock lock(mutex_);
-    total = total_pushed_;
-  }
-  os << "tracez: " << entries.size() << " of " << total
-     << " completed queries retained (capacity " << capacity_ << ")\n";
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    os << "\n=== trace #" << it->sequence << " ===\n"
-       << spans_to_text_report(it->spans, it->dropped);
-  }
-  return os.str();
-}
-
-std::string TraceRing::to_chrome_json() const {
-  MutexLock lock(mutex_);
-  if (entries_.empty()) return spans_to_chrome_json({}, 0);
-  const Entry& last = entries_.back();
-  return spans_to_chrome_json(last.spans, last.dropped);
 }
 
 }  // namespace ids::telemetry

@@ -209,11 +209,11 @@ TEST(Cache, SerializationServiceChargesPerOp) {
   EXPECT_GE(clock.now(), after_put + sim::from_seconds(0.25));
 }
 
-// QueryResult::cache_hits/cache_misses are *derived* from the same
+// The query account's cache hits and misses are *derived* from the same
 // registry counters the cache manager records (telemetry equivalence):
 // summed over a cold and a warm run of the same cached INVOKE, they must
 // account for every counter increment exactly — no parallel bookkeeping.
-TEST(CacheEngineEquivalence, QueryResultCountersMatchRegistry) {
+TEST(CacheEngineEquivalence, AccountCountersMatchRegistry) {
   telemetry::MetricsRegistry reg;
   CacheConfig cc;
   cc.num_nodes = 2;
@@ -261,11 +261,13 @@ TEST(CacheEngineEquivalence, QueryResultCountersMatchRegistry) {
   core::QueryResult warm = eng.execute(q);  // every row served from cache
 
   CacheStats cs = cache.stats();
-  EXPECT_EQ(cold.cache_misses, 10u);
-  EXPECT_EQ(cold.cache_hits + warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, 10u);
-  EXPECT_EQ(cold.cache_hits + warm.cache_hits, cs.total_hits());
-  EXPECT_EQ(cold.cache_misses + warm.cache_misses, cs.misses);
+  const telemetry::QueryResourceAccount& c = cold.account;
+  const telemetry::QueryResourceAccount& w = warm.account;
+  EXPECT_EQ(c.cache_misses, 10u);
+  EXPECT_EQ(c.cache_hits() + w.cache_misses, 0u);
+  EXPECT_EQ(w.cache_hits(), 10u);
+  EXPECT_EQ(c.cache_hits() + w.cache_hits(), cs.total_hits());
+  EXPECT_EQ(c.cache_misses + w.cache_misses, cs.misses);
 
   // The stats struct itself is a view over the same registry counters.
   EXPECT_EQ(cs.misses,
@@ -276,6 +278,67 @@ TEST(CacheEngineEquivalence, QueryResultCountersMatchRegistry) {
                 ->value());
   EXPECT_EQ(cs.puts,
             reg.counter("ids_cache_puts_total", {{"cache", "eq"}})->value());
+}
+
+// The serialization floor of a cached INVOKE counts the stage's own cache
+// operations, one get per row, so another client's cache traffic during
+// the stage must leave the query's modeled time alone. The UDF body stands
+// in for that client: each call also reads an unrelated key on a clock of
+// its own.
+TEST(CacheEngineEquivalence, SerializationFloorIgnoresOtherClientsTraffic) {
+  constexpr int kRanks = 64;
+  constexpr int kRows = 400;
+  auto triples = std::make_unique<graph::TripleStore>(kRanks);
+  auto features = std::make_unique<store::FeatureStore>(kRanks);
+  for (int i = 0; i < kRows; ++i) {
+    std::string item = "item";
+    item += std::to_string(i);
+    triples->add(item, "type", "Item");
+  }
+  triples->finalize();
+  features->freeze();
+  auto& d = triples->dict();
+
+  auto invoke_seconds = [&](bool other_client) {
+    CacheConfig cc;
+    cc.num_nodes = 2;
+    cc.serialization_service_seconds = 1e-4;
+    CacheManager cache(cc);
+    core::EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = &cache;
+    core::IdsEngine eng(opts, triples.get(), features.get());
+    eng.registry().register_static(
+        "model", [&cache, other_client](const udf::UdfContext&,
+                                        std::span<const expr::Value>) {
+          if (other_client) {
+            sim::VirtualClock elsewhere;
+            (void)cache.get(elsewhere, 0, "other/client/key");
+          }
+          return udf::UdfResult{1.0, sim::from_micros(10)};
+        });
+    core::Query q;
+    q.patterns.push_back({graph::PatternTerm::Var("x"),
+                          graph::PatternTerm::Const(*d.lookup("type")),
+                          graph::PatternTerm::Const(*d.lookup("Item"))});
+    core::InvokeClause inv;
+    inv.udf = "model";
+    inv.args = {expr::Expr::Var("x")};
+    inv.out_var = "v";
+    inv.use_cache = true;
+    inv.cache_prefix = "floor";
+    inv.cached_payload_bytes = 64;
+    q.invokes.push_back(inv);
+    const core::QueryResult r = eng.execute(q);
+    EXPECT_EQ(r.account.udf_invocations, std::uint64_t{kRows});
+    EXPECT_EQ(cache.stats().misses,
+              static_cast<std::uint64_t>(other_client ? 2 * kRows : kRows));
+    return r.stage_seconds("invoke:model");
+  };
+  const double alone = invoke_seconds(false);
+  // A floor over the other client's gets as well (800 x 1e-4 s) would bind.
+  EXPECT_LT(alone, 2 * kRows * 1e-4);
+  EXPECT_EQ(invoke_seconds(true), alone);
 }
 
 }  // namespace

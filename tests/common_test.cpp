@@ -161,41 +161,6 @@ TEST(Stats, RunningStatsBasics) {
   EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
 }
 
-TEST(Stats, MergeEqualsCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  Rng rng(31);
-  for (int i = 0; i < 100; ++i) {
-    double x = rng.normal(3.0, 2.0);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Stats, SampleSetPercentiles) {
-  SampleSet s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  EXPECT_NEAR(s.median(), 50.5, 1e-9);
-  EXPECT_NEAR(s.percentile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(s.percentile(1.0), 100.0, 1e-9);
-}
-
-TEST(Stats, SampleSetConstPercentileMatchesMutable) {
-  SampleSet s;
-  for (double x : {5.0, 1.0, 3.0, 2.0, 4.0}) s.add(x);
-  const SampleSet& cs = s;  // const overload copies instead of sorting
-  EXPECT_NEAR(cs.median(), 3.0, 1e-9);
-  EXPECT_NEAR(cs.percentile(1.0), 5.0, 1e-9);
-  EXPECT_NEAR(s.percentile(0.5), 3.0, 1e-9);  // mutable overload agrees
-  s.add(6.0);  // const path must also work on the unsorted tail
-  EXPECT_NEAR(cs.percentile(1.0), 6.0, 1e-9);
-}
-
 TEST(Stats, RunningStatsToString) {
   RunningStats r;
   r.add(1.0);

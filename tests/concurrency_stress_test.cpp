@@ -17,6 +17,7 @@
 #include "cache/manager.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/engine.h"
 #include "core/rebalancer.h"
 #include "datagen/lifesci.h"
 #include "graph/dictionary.h"
@@ -320,6 +321,94 @@ TEST(ConcurrencyStress, ThreadPoolNestedUseAndReuse) {
       ASSERT_EQ(count.load(), 32);
     }
   });
+}
+
+TEST(ConcurrencyStress, SharedCacheLeavesEachQueryClockAlone) {
+  // Two clients run cold cached INVOKE queries through their own engines
+  // over one cache, on distinct key prefixes. A query's modeled time may
+  // depend only on its own work, so each must cost exactly what it costs
+  // alone on a fresh cache, however the two clients interleave. The §8
+  // service time makes the serialization floor bind, so a floor that
+  // counted the other client's operations would show.
+  constexpr int kRanks = 4;
+  constexpr int kClients = 2;
+  constexpr int kQueries = 10;
+  auto triples = std::make_unique<graph::TripleStore>(kRanks);
+  auto features = std::make_unique<store::FeatureStore>(kRanks);
+  for (int i = 0; i < 32; ++i) {
+    std::string item = "item";
+    item += std::to_string(i);
+    triples->add(item, "type", "Item");
+  }
+  triples->finalize();
+  features->freeze();
+  cache::CacheConfig cc;
+  cc.num_nodes = 2;
+  cc.serialization_service_seconds = 0.21;
+
+  auto query = [&](int client, int i) {
+    const graph::Dictionary& d = triples->dict();
+    core::Query q;
+    q.patterns.push_back({graph::PatternTerm::Var("x"),
+                          graph::PatternTerm::Const(*d.lookup("type")),
+                          graph::PatternTerm::Const(*d.lookup("Item"))});
+    core::InvokeClause inv;
+    inv.udf = "model";
+    inv.args = {expr::Expr::Var("x")};
+    inv.out_var = "v";
+    inv.use_cache = true;
+    inv.cache_prefix = "c";
+    inv.cache_prefix += std::to_string(client);
+    inv.cache_prefix += "/q";
+    inv.cache_prefix += std::to_string(i);
+    inv.cached_payload_bytes = 64;
+    q.invokes.push_back(inv);
+    return q;
+  };
+  auto engine = [&](cache::CacheManager* cache) {
+    core::EngineOptions opts;
+    opts.topology = runtime::Topology::laptop(kRanks);
+    opts.cache = cache;
+    auto eng = std::make_unique<core::IdsEngine>(opts, triples.get(),
+                                                 features.get());
+    eng->registry().register_static(
+        "model", [](const udf::UdfContext&, std::span<const expr::Value>) {
+          return udf::UdfResult{1.0, sim::from_micros(10)};
+        });
+    return eng;
+  };
+
+  cache::CacheManager shared(cc);
+  std::vector<std::vector<double>> seconds(kClients);
+  std::vector<std::thread> clients;
+  std::atomic<int> ready{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto eng = engine(&shared);
+      // Start together, so the two clients' stages overlap.
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (int i = 0; i < kQueries; ++i) {
+        seconds[static_cast<std::size_t>(c)].push_back(
+            eng->execute(query(c, i)).stage_seconds("invoke:"));
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  int differing = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kQueries; ++i) {
+      cache::CacheManager fresh(cc);
+      const double alone =
+          engine(&fresh)->execute(query(c, i)).stage_seconds("invoke:");
+      if (seconds[static_cast<std::size_t>(c)]
+                 [static_cast<std::size_t>(i)] != alone) {
+        ++differing;
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0) << "of " << kClients * kQueries << " queries";
 }
 
 }  // namespace

@@ -173,7 +173,28 @@ TEST_F(EdgeFixture, EmptyMatchFlowsThroughWholePipeline) {
   q.limit = 5;
   QueryResult r = eng.execute(q);
   EXPECT_EQ(r.solutions.num_rows(), 0u);
-  EXPECT_EQ(r.rows_invoked, 0u);
+  EXPECT_EQ(r.account.udf_invocations, 0u);
+}
+
+// A DISTINCT on an unbound variable is skipped and opens no stage, so it
+// must charge no operator overhead either: the query costs exactly what it
+// costs without the DISTINCT.
+TEST_F(EdgeFixture, SkippedDistinctChargesNoOperatorOverhead) {
+  EngineOptions opts;
+  opts.costs.operator_overhead_seconds = 1.35;
+  IdsEngine eng = make_engine(opts);
+  Query q;
+  q.patterns.push_back({PatternTerm::Var("d"), term("type"), term("Doc")});
+  const QueryResult plain = eng.execute(q);
+  q.distinct_var = "unbound";
+  const QueryResult skipped = eng.execute(q);
+  ASSERT_EQ(skipped.stages.size(), plain.stages.size());
+  for (std::size_t i = 0; i < plain.stages.size(); ++i) {
+    EXPECT_EQ(skipped.stages[i].stage, plain.stages[i].stage);
+    EXPECT_EQ(skipped.stages[i].seconds, plain.stages[i].seconds)
+        << plain.stages[i].stage;
+  }
+  EXPECT_EQ(skipped.total_seconds, plain.total_seconds);
 }
 
 TEST_F(EdgeFixture, MatchAllTriplesPattern) {
@@ -224,7 +245,7 @@ TEST_F(EdgeFixture, CacheNodeFailureMidWorkloadRecovers) {
   cache.fail_node(1);
   QueryResult after_failure = eng.execute(q);
   EXPECT_EQ(executions, 8);
-  EXPECT_EQ(after_failure.cache_hits, 8u);
+  EXPECT_EQ(after_failure.account.cache_hits(), 8u);
   int col = after_failure.solutions.num_var_index("v");
   std::multiset<double> vals;
   for (std::size_t row = 0; row < after_failure.solutions.num_rows(); ++row) {

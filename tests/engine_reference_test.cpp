@@ -332,8 +332,10 @@ void print_golden(const char* label, const QueryResult& r) {
   std::printf("golden[%s]: total=%.17g rows_p=%zu rows_f=%zu hits=%zu "
               "misses=%zu invoked=%zu\n",
               label, r.total_seconds, r.rows_after_patterns,
-              r.rows_after_filters, r.cache_hits, r.cache_misses,
-              r.rows_invoked);
+              r.rows_after_filters,
+              static_cast<std::size_t>(r.account.cache_hits()),
+              static_cast<std::size_t>(r.account.cache_misses),
+              static_cast<std::size_t>(r.account.udf_invocations));
   for (const auto& st : r.stages) {
     std::printf("golden[%s]:   stage %-12s %.17g\n", label, st.stage.c_str(),
                 st.seconds);
@@ -445,9 +447,9 @@ TEST(KernelEquivalence, GoldenDistinctInvokeModeledResults) {
   QueryResult warm = engine.execute(q);
 
   EXPECT_EQ(cold.rows_after_patterns, std::size_t{45});
-  EXPECT_EQ(cold.rows_invoked, std::size_t{23});
-  EXPECT_EQ(cold.cache_hits, std::size_t{0});
-  EXPECT_EQ(cold.cache_misses, std::size_t{23});
+  EXPECT_EQ(cold.account.udf_invocations, std::uint64_t{23});
+  EXPECT_EQ(cold.account.cache_hits(), std::uint64_t{0});
+  EXPECT_EQ(cold.account.cache_misses, std::uint64_t{23});
   EXPECT_EQ(cold.total_seconds, 0.013058367);
   ASSERT_EQ(cold.stages.size(), std::size_t{4});
   EXPECT_EQ(cold.stages[0].stage, "scan");
@@ -459,9 +461,9 @@ TEST(KernelEquivalence, GoldenDistinctInvokeModeledResults) {
   EXPECT_EQ(cold.stages[3].stage, "gather");
   EXPECT_EQ(cold.stages[3].seconds, 9.1800000000000004e-07);
 
-  EXPECT_EQ(warm.rows_invoked, std::size_t{0});
-  EXPECT_EQ(warm.cache_hits, std::size_t{23});
-  EXPECT_EQ(warm.cache_misses, std::size_t{0});
+  EXPECT_EQ(warm.account.udf_invocations, std::uint64_t{0});
+  EXPECT_EQ(warm.account.cache_hits(), std::uint64_t{23});
+  EXPECT_EQ(warm.account.cache_misses, std::uint64_t{0});
   EXPECT_EQ(warm.total_seconds, 0.0023106659999999998);
   ASSERT_EQ(warm.stages.size(), std::size_t{4});
   EXPECT_EQ(warm.stages[2].stage, "invoke:sq");

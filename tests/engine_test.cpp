@@ -272,7 +272,7 @@ TEST_F(EngineFixture, InvokeAddsNumericColumn) {
   ASSERT_GE(col, 0);
   EXPECT_DOUBLE_EQ(r.solutions.num_at(0, col), 40.0);  // ordered ascending
   EXPECT_DOUBLE_EQ(r.solutions.num_at(9, col), 58.0);
-  EXPECT_EQ(r.rows_invoked, 10u);
+  EXPECT_EQ(r.account.udf_invocations, 10u);
 }
 
 TEST_F(EngineFixture, InvokeWithCacheHitsOnRepeat) {
@@ -306,13 +306,13 @@ TEST_F(EngineFixture, InvokeWithCacheHitsOnRepeat) {
   q.invokes.push_back(inv);
 
   QueryResult cold = eng.execute(q);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cold.cache_misses, 10u);
+  EXPECT_EQ(cold.account.cache_hits(), 0u);
+  EXPECT_EQ(cold.account.cache_misses, 10u);
   EXPECT_EQ(real_calls, 10);
 
   QueryResult warm = eng.execute(q);
-  EXPECT_EQ(warm.cache_hits, 10u);
-  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.account.cache_hits(), 10u);
+  EXPECT_EQ(warm.account.cache_misses, 0u);
   EXPECT_EQ(real_calls, 10);  // no recomputation
   EXPECT_LT(warm.total_seconds, cold.total_seconds * 0.5);
 

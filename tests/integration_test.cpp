@@ -74,14 +74,15 @@ TEST(Integration, TextQueryThroughDeploymentWithCache) {
   // Cold run: misses populate the cache.
   auto cold = client.query(kQueryText);
   ASSERT_TRUE(cold.ok()) << cold.status().to_string();
-  ASSERT_GT(cold.value().rows_invoked, 0u);
-  EXPECT_EQ(cold.value().cache_hits, 0u);
+  ASSERT_GT(cold.value().account.udf_invocations, 0u);
+  EXPECT_EQ(cold.value().account.cache_hits(), 0u);
 
   // Warm run: every docking served from the cache, results identical.
   auto warm = client.query(kQueryText);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.value().cache_misses, 0u);
-  EXPECT_EQ(warm.value().cache_hits, cold.value().cache_misses);
+  EXPECT_EQ(warm.value().account.cache_misses, 0u);
+  EXPECT_EQ(warm.value().account.cache_hits(),
+            cold.value().account.cache_misses);
   EXPECT_LT(warm.value().total_seconds, cold.value().total_seconds);
   ASSERT_EQ(warm.value().solutions.num_rows(),
             cold.value().solutions.num_rows());

@@ -110,15 +110,15 @@ TEST(ObsServerHandle, MetricsBodyIsTheRegistryExpositionExactly) {
 
 TEST(ObsServerHandle, StatuszCarriesBuildInfoAndQueryAccounts) {
   MetricsRegistry reg;
-  QueryStatsRing ring;
+  QueryRing ring;
   QueryResourceAccount account;
   account.modeled_seconds = 2.0;
   account.wall_seconds = 0.5;
-  ring.push(std::move(account));
+  ring.push(std::move(account), {}, 0);
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.query_stats = &ring;
+  opts.queries = &ring;
   opts.build_type = "Release";
   opts.simd_level = "avx2";
   ObsServer server(opts);
@@ -142,21 +142,21 @@ TEST(ObsServerHandle, StatuszWithoutRingDegradesGracefully) {
   EXPECT_NE(server.handle("/statusz").find(
                 "\"queries\":{\"total\":0,\"recent\":[]}"),
             std::string::npos);
-  EXPECT_NE(server.handle("/tracez").find("no trace ring attached"),
+  EXPECT_NE(server.handle("/tracez").find("no query ring attached"),
             std::string::npos);
 }
 
 TEST(ObsServerHandle, TracezRendersRingInBothFormats) {
   MetricsRegistry reg;
-  TraceRing ring;
+  QueryRing ring;
   Tracer tracer(/*max_spans=*/16, &reg);
   const SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
   tracer.end_span(root, 1000);
-  ring.push(tracer.snapshot(), tracer.dropped());
+  ring.push(QueryResourceAccount{}, tracer.snapshot(), tracer.dropped());
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.traces = &ring;
+  opts.queries = &ring;
   ObsServer server(opts);
 
   EXPECT_NE(server.handle("/tracez").find("trace #1"), std::string::npos);
@@ -268,6 +268,56 @@ struct SharedGraph {
   std::unique_ptr<store::FeatureStore> features;
 };
 
+// A traced and an untraced engine share one ring. Each query is one entry
+// under one sequence, so the newest trace in /tracez and the newest account
+// in /statusz are the same query, whichever engine ran it.
+TEST(ObsServerHandle, StatuszAndTracezShareOneSequencePerQuery) {
+  SharedGraph graph;
+  MetricsRegistry reg;
+  QueryRing ring;
+  Tracer tracer(/*max_spans=*/1u << 12, &reg);
+
+  EngineOptions traced;
+  traced.topology = runtime::Topology::laptop(SharedGraph::kRanks);
+  traced.metrics = &reg;
+  traced.tracer = &tracer;
+  traced.query_ring = &ring;
+  EngineOptions untraced = traced;
+  untraced.tracer = nullptr;
+  IdsEngine first(traced, graph.triples.get(), graph.features.get());
+  IdsEngine second(untraced, graph.triples.get(), graph.features.get());
+  EXPECT_EQ(first.execute(graph.query()).account.sequence, 1u);
+  EXPECT_EQ(second.execute(graph.query()).account.sequence, 2u);
+  EXPECT_EQ(first.execute(graph.query()).account.sequence, 3u);
+
+  ObsServerOptions opts;
+  opts.metrics = &reg;
+  opts.queries = &ring;
+  ObsServer server(opts);
+
+  // Both endpoints list newest first.
+  const std::string tracez = server.handle("/tracez");
+  EXPECT_NE(tracez.find("tracez: 3 of 3 completed queries retained"),
+            std::string::npos)
+      << tracez;
+  const std::size_t newest = tracez.find("=== trace #");
+  ASSERT_NE(newest, std::string::npos) << tracez;
+  EXPECT_EQ(tracez.substr(newest, 16), "=== trace #3 ===") << tracez;
+  const std::string statusz = server.handle("/statusz");
+  EXPECT_NE(statusz.find("\"recent\":[{\"sequence\":3,"), std::string::npos)
+      << statusz;
+
+  const std::vector<QueryRing::Entry> entries = ring.snapshot();
+  ASSERT_EQ(entries.size(), 3u);
+  for (const QueryRing::Entry& e : entries) {
+    EXPECT_EQ(e.sequence, e.account.sequence);
+  }
+  // The untraced query is listed with an empty tree.
+  EXPECT_FALSE(entries[0].spans.empty());
+  EXPECT_TRUE(entries[1].spans.empty());
+  EXPECT_FALSE(entries[2].spans.empty());
+}
+
 TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 6;
@@ -278,31 +328,28 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   cc.num_nodes = 2;
   cc.metrics = &reg;
   cache::CacheManager cache(cc);
-  TraceRing traces;
-  QueryStatsRing query_stats;
+  QueryRing ring;
 
   ObsServerOptions opts;
   opts.metrics = &reg;
-  opts.traces = &traces;
-  opts.query_stats = &query_stats;
+  opts.queries = &ring;
   ObsServer server(opts);
   ASSERT_TRUE(server.start().ok());
   const std::uint16_t port = server.port();
 
-  // kThreads engines execute queries into the shared cache/registry/rings
+  // kThreads engines execute queries into the shared cache/registry/ring
   // while the main thread scrapes over loopback the whole time.
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&graph, &cache, &reg, &traces, &query_stats] {
+    workers.emplace_back([&graph, &cache, &reg, &ring] {
       Tracer tracer(/*max_spans=*/1u << 12, &reg);
       EngineOptions eo;
       eo.topology = runtime::Topology::laptop(SharedGraph::kRanks);
       eo.cache = &cache;
       eo.metrics = &reg;
       eo.tracer = &tracer;
-      eo.trace_ring = &traces;
-      eo.query_stats = &query_stats;
+      eo.query_ring = &ring;
       IdsEngine engine(eo, graph.triples.get(), graph.features.get());
       for (int i = 0; i < kQueriesPerThread; ++i) {
         core::QueryResult r = engine.execute(graph.query());
@@ -313,7 +360,7 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   }
 
   int scrapes = 0;
-  while (query_stats.total_pushed() <
+  while (ring.total_pushed() <
          static_cast<std::uint64_t>(kThreads) * kQueriesPerThread) {
     const std::string metrics = http_get(port, "/metrics");
     ASSERT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
@@ -327,11 +374,14 @@ TEST(ObsServerSocket, ScrapesStayCoherentDuringConcurrentQueries) {
   EXPECT_GT(scrapes, 0);
 
   // After the dust settles the shared state is consistent: every query
-  // pushed one account and the engine counter matches.
-  EXPECT_EQ(query_stats.total_pushed(),
+  // pushed one entry, carrying its account and its span tree under one
+  // sequence, and the engine counter matches.
+  EXPECT_EQ(ring.total_pushed(),
             static_cast<std::uint64_t>(kThreads) * kQueriesPerThread);
-  EXPECT_EQ(traces.total_pushed(),
-            static_cast<std::uint64_t>(kThreads) * kQueriesPerThread);
+  for (const QueryRing::Entry& e : ring.snapshot()) {
+    EXPECT_EQ(e.sequence, e.account.sequence);
+    EXPECT_FALSE(e.spans.empty());
+  }
   const std::string final_scrape = http_get(port, "/metrics");
   EXPECT_NE(final_scrape.find("ids_engine_queries_total 24"),
             std::string::npos)

@@ -471,8 +471,8 @@ TEST(Trace, DroppedSpansFlowIntoMetricsCounter) {
   EXPECT_EQ(dropped->value(), 4u);
 }
 
-TEST(Trace, RingRetainsNewestEntriesWithSequences) {
-  TraceRing ring(/*capacity=*/3);
+TEST(QueryRing, RetainsNewestSpanTreesWithSequences) {
+  QueryRing ring(/*capacity=*/3);
   EXPECT_EQ(ring.snapshot().size(), 0u);
   EXPECT_NE(ring.to_text_report().find("0 of 0 completed queries"),
             std::string::npos);
@@ -483,11 +483,11 @@ TEST(Trace, RingRetainsNewestEntriesWithSequences) {
     SpanId root = tracer.begin_span("query", "query", kNoSpan, -1, 0);
     tracer.add_attr(root, "n", static_cast<std::uint64_t>(i));
     tracer.end_span(root, 1000 * (i + 1));
-    ring.push(tracer.snapshot(), tracer.dropped());
+    ring.push(QueryResourceAccount{}, tracer.snapshot(), tracer.dropped());
   }
 
   EXPECT_EQ(ring.total_pushed(), 5u);
-  std::vector<TraceRing::Entry> entries = ring.snapshot();
+  std::vector<QueryRing::Entry> entries = ring.snapshot();
   ASSERT_EQ(entries.size(), 3u);  // oldest two fell out
   EXPECT_EQ(entries[0].sequence, 3u);
   EXPECT_EQ(entries[2].sequence, 5u);
@@ -543,18 +543,23 @@ TEST(QueryStats, AccountJsonGolden) {
   EXPECT_TRUE(JsonValidator(a.to_json()).valid());
 }
 
-TEST(QueryStats, RingStampsSequencesAndEvictsOldest) {
-  QueryStatsRing ring(/*capacity=*/2);
+TEST(QueryRing, StampsSequencesAndEvictsOldest) {
+  QueryRing ring(/*capacity=*/2);
   for (int i = 0; i < 3; ++i) {
     QueryResourceAccount a;
     a.rows_gathered = static_cast<std::uint64_t>(i);
-    EXPECT_EQ(ring.push(std::move(a)), static_cast<std::uint64_t>(i + 1));
+    EXPECT_EQ(ring.push(std::move(a), {}, 0),
+              static_cast<std::uint64_t>(i + 1));
   }
   EXPECT_EQ(ring.total_pushed(), 3u);
-  std::vector<QueryResourceAccount> kept = ring.snapshot();
+  std::vector<QueryRing::Entry> kept = ring.snapshot();
   ASSERT_EQ(kept.size(), 2u);
-  EXPECT_EQ(kept[0].sequence, 2u);  // oldest retained
-  EXPECT_EQ(kept[1].sequence, 3u);
+  EXPECT_EQ(kept[0].account.sequence, 2u);  // oldest retained
+  EXPECT_EQ(kept[1].account.sequence, 3u);
+  EXPECT_EQ(kept[1].account.rows_gathered, 2u);
+  for (const QueryRing::Entry& e : kept) {
+    EXPECT_EQ(e.sequence, e.account.sequence);
+  }
 
   // JSON is newest-first under a total count.
   std::string json = ring.to_json();
@@ -729,17 +734,17 @@ TEST_F(TelemetryEngineFixture, StageSpansMatchQueryResultExactly) {
   // The Chrome export of a real query is valid JSON.
   EXPECT_TRUE(JsonValidator(tracer.to_chrome_json()).valid());
 
-  // QueryResult hit/miss counters are derived from the cache's registry
-  // counters, so the two must agree exactly.
+  // The account's hit/miss counts are derived from the cache's registry
+  // counters, so on a fresh cache the two must agree exactly.
   cache::CacheStats cs = cache.stats();
-  EXPECT_EQ(r.cache_hits, cs.total_hits());
-  EXPECT_EQ(r.cache_misses, cs.misses);
+  EXPECT_EQ(r.account.cache_hits(), cs.total_hits());
+  EXPECT_EQ(r.account.cache_misses, cs.misses);
 
   // The UDF latency histogram reached the engine's private registry.
   EXPECT_EQ(reg.histogram("ids_udf_exec_seconds", latency_seconds_buckets(),
                           {{"udf", "score"}})
                 ->count(),
-            r.rows_invoked);
+            r.account.udf_invocations);
   EXPECT_EQ(reg.counter("ids_engine_queries_total")->value(), 1u);
 }
 
@@ -828,10 +833,10 @@ TEST_F(TelemetryEngineFixture, RankSpansCoverEveryRankAndInvokeCall) {
         hits += count_attr_of(s, "hit");
       }
     }
-    EXPECT_EQ(hits, r.cache_hits);
-    EXPECT_EQ(udf_calls, r.rows_invoked);
+    EXPECT_EQ(hits, r.account.cache_hits());
+    EXPECT_EQ(udf_calls, r.account.udf_invocations);
     if (std::string_view(run) == "warm") {
-      EXPECT_GT(r.cache_hits, 0u);
+      EXPECT_GT(r.account.cache_hits(), 0u);
     }
   }
 }
@@ -868,8 +873,7 @@ TEST_F(TelemetryEngineFixture, UdfInstrumentsMatchProfilerPerUdf) {
 TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   Tracer tracer;
   MetricsRegistry reg;
-  TraceRing traces;
-  QueryStatsRing stats;
+  QueryRing ring;
   cache::CacheConfig cc;
   cc.num_nodes = 2;
   cc.metrics = &reg;
@@ -880,19 +884,21 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   opts.cache = &cache;
   opts.tracer = &tracer;
   opts.metrics = &reg;
-  opts.trace_ring = &traces;
-  opts.query_stats = &stats;
+  opts.query_ring = &ring;
   IdsEngine eng(opts, triples_.get(), features_.get());
   register_udfs(&eng);
 
   QueryResult r = eng.execute(full_query());
   const QueryResourceAccount& a = r.account;
 
-  // The account mirrors the QueryResult's own counters exactly.
+  // The account mirrors the QueryResult's totals and, on a fresh cache,
+  // the cache's own counters exactly.
+  const cache::CacheStats cs = cache.stats();
   EXPECT_EQ(a.sequence, 1u);
   EXPECT_EQ(a.modeled_seconds, r.total_seconds);
-  EXPECT_EQ(a.udf_invocations, static_cast<std::uint64_t>(r.rows_invoked));
-  EXPECT_EQ(a.cache_misses, static_cast<std::uint64_t>(r.cache_misses));
+  EXPECT_EQ(a.udf_invocations, cs.misses);  // every miss runs the model
+  EXPECT_EQ(a.cache_misses, cs.misses);
+  EXPECT_EQ(a.cache_bytes_written, cs.bytes_written);
   EXPECT_EQ(a.rows_gathered, r.solutions.num_rows());
   EXPECT_GT(a.rows_partitioned, 0u);   // rows crossed ranks in the join
   EXPECT_GT(a.peak_solution_bytes, 0u);
@@ -911,21 +917,24 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   }
   EXPECT_NEAR(stage_modeled, a.modeled_seconds, 1e-9);
 
-  // Tier byte accounting: hits sum to the result's hit count, and every
+  // Tier byte accounting: hits sum to the cache's hit count, and every
   // reported tier actually served bytes.
   std::uint64_t tier_hits = 0;
   for (const auto& t : a.tiers) {
     EXPECT_GT(t.bytes_in + t.hits, 0u);
     tier_hits += t.hits;
   }
-  EXPECT_EQ(tier_hits, static_cast<std::uint64_t>(r.cache_hits));
+  EXPECT_EQ(tier_hits, cs.total_hits());
+  EXPECT_EQ(a.cache_hits(), tier_hits);
 
-  // The account was pushed to the ring and the span tree to the trace
-  // ring, with the root span carrying the account attrs for /tracez.
-  ASSERT_EQ(stats.snapshot().size(), 1u);
-  EXPECT_EQ(stats.snapshot()[0].sequence, 1u);
-  ASSERT_EQ(traces.total_pushed(), 1u);
-  const std::vector<Span> spans = traces.snapshot()[0].spans;
+  // The account and the span tree were pushed to the ring as one entry,
+  // with the root span carrying the account attrs for /tracez.
+  ASSERT_EQ(ring.total_pushed(), 1u);
+  const QueryRing::Entry entry = ring.snapshot()[0];
+  EXPECT_EQ(entry.sequence, 1u);
+  EXPECT_EQ(entry.account.sequence, 1u);
+  EXPECT_EQ(entry.account.to_json(), a.to_json());
+  const std::vector<Span>& spans = entry.spans;
   const Span* root = nullptr;
   for (const Span& s : spans) {
     if (s.category == "query") root = &s;
@@ -957,7 +966,7 @@ TEST_F(TelemetryEngineFixture, ResourceAccountMatchesQueryResult) {
   QueryResult r2 = eng.execute(full_query());
   EXPECT_EQ(r2.account.sequence, 2u);
   ASSERT_EQ(r2.account.stages.size(), r2.stages.size());
-  EXPECT_EQ(stats.total_pushed(), 2u);
+  EXPECT_EQ(ring.total_pushed(), 2u);
 }
 
 TEST_F(TelemetryEngineFixture, ExplainAndTraceAgreeOnStages) {

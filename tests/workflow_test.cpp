@@ -102,8 +102,9 @@ TEST_F(WorkflowTest, FullQueryDocksDistinctCompounds) {
   Query q = make_ncnpr_query(data_, t);
   QueryResult r = eng.execute(q);
 
-  EXPECT_GT(r.rows_invoked, 0u);
-  EXPECT_EQ(r.rows_invoked, r.solutions.num_rows());  // one dock per compound
+  EXPECT_GT(r.account.udf_invocations, 0u);
+  // One dock per compound.
+  EXPECT_EQ(r.account.udf_invocations, r.solutions.num_rows());
   int energy = r.solutions.num_var_index("energy");
   ASSERT_GE(energy, 0);
   // Ordered by energy ascending (best binder first).
@@ -133,10 +134,10 @@ TEST_F(WorkflowTest, CachingAcceleratesRepeatQueries) {
   Query q = make_ncnpr_query(data_, t, true, /*docking_cached=*/true);
 
   QueryResult cold = eng.execute(q);
-  ASSERT_GT(cold.cache_misses, 0u);
+  ASSERT_GT(cold.account.cache_misses, 0u);
   QueryResult warm = eng.execute(q);
-  EXPECT_EQ(warm.cache_misses, 0u);
-  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
+  EXPECT_EQ(warm.account.cache_misses, 0u);
+  EXPECT_EQ(warm.account.cache_hits(), cold.account.cache_misses);
   // The paper reports 5-15x end-to-end; at minimum the warm run must win
   // clearly once docking is served from the cache.
   EXPECT_LT(warm.total_seconds, cold.total_seconds / 2.0);

@@ -62,11 +62,15 @@
 #      [phase-discipline] enforces the same ban on annotated fields with
 #      token fidelity; this regex rule covers unannotated ones too.
 #
+# Each rule is one grep (or awk) pass over the rule's file list; its
+# scope, comment stripping and lint:allow-* escape apply inside that pass.
+#
 # Usage: tools/lint.sh [--root DIR]
 #   --root DIR   lint DIR instead of the repository (used by the negative
 #                fixture tests under tools/lint_fixtures/).
 
 set -u
+shopt -s extglob
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 while [ $# -gt 0 ]; do
@@ -91,9 +95,9 @@ if [ ${#dirs[@]} -eq 0 ]; then
   exit 2
 fi
 
-list_files() {  # $1 = glob suffix
-  find "${dirs[@]}" -type f -name "$1" | LC_ALL=C sort
-}
+# Headers, then sources, each sorted: findings print in this order.
+mapfile -t files < <(find "${dirs[@]}" -type f -name '*.h' | LC_ALL=C sort
+                     find "${dirs[@]}" -type f -name '*.cpp' | LC_ALL=C sort)
 
 failures=0
 fail() {
@@ -101,58 +105,80 @@ fail() {
   failures=$((failures + 1))
 }
 
+# in_scope INCLUDE [EXCLUDE]: sets `scope` to the files matching the
+# extended glob INCLUDE and not EXCLUDE.
+in_scope() {
+  local f
+  scope=()
+  for f in "${files[@]}"; do
+    [[ $f == $1 && $f != ${2:-} ]] && scope+=("$f")
+  done
+}
+
+# Every pass below reads /dev/null first, so an empty scope never reads
+# stdin. `at` anchors a pattern at the start of a "file:line:" hit's text.
+at='^[^:]*:[0-9]+:'
+hits() { grep -nHE "$1" /dev/null "${scope[@]}"; }
+# "file:line:text" for every line in scope, the //-comment tail cut and
+# lines carrying `lint:allow-$1` blanked, so neither prose nor an
+# opted-out line can match.
+stripped() {
+  awk -v tag="lint:allow-$1" '{ l = index($0, tag) ? "" : $0
+    sub(/\/\/.*/, "", l); print FILENAME ":" FNR ":" l }' /dev/null "${scope[@]}"
+}
+
+# report PREFIX SUFFIX: one finding per file among the "file:line:text"
+# hits on stdin, "PREFIX file SUFFIX:" over that file's "line:text" hits.
+report() {
+  local hit file="" lines=""
+  while IFS= read -r hit; do
+    if [ "${hit%%:*}" != "$file" ]; then
+      [ -n "$file" ] && fail "$1 $file $2:${lines}"
+      file=${hit%%:*} lines=""
+    fi
+    lines+=$'\n'${hit#*:}
+  done
+  [ -n "$file" ] && fail "$1 $file $2:${lines}"
+}
+
 # --- 1. naked standard synchronization primitives outside src/common/ ----
-while IFS= read -r f; do
-  case "$f" in
-    src/common/*) continue ;;
-  esac
-  hits=$(grep -nE 'std::(mutex|shared_mutex|recursive_mutex|timed_mutex|lock_guard|unique_lock|scoped_lock|shared_lock|condition_variable)' "$f")
-  if [ -n "$hits" ]; then
-    fail "naked std synchronization primitive in $f (use ids::Mutex/MutexLock/CondVar from common/thread_annotations.h):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '*' 'src/common/*'
+report "naked std synchronization primitive in" "(use ids::Mutex/MutexLock/CondVar from common/thread_annotations.h)" \
+  < <(hits 'std::(mutex|shared_mutex|recursive_mutex|timed_mutex|lock_guard|unique_lock|scoped_lock|shared_lock|condition_variable)')
 
 # --- 2. include cycles among repo headers -------------------------------
 # Build the quoted-include edge list (repo-relative resolution: includes
 # are rooted at src/, matching the -I layout) and feed it to tsort, which
 # reports "input contains a loop" on a cycle.
-edges=$(mktemp)
-while IFS= read -r f; do
-  while IFS= read -r inc; do
-    target=""
-    if [ -f "src/$inc" ]; then
-      target="src/$inc"
-    elif [ -f "$(dirname "$f")/$inc" ]; then
-      target="$(dirname "$f")/$inc"
-    fi
-    # Skip system/library includes and self-includes.
-    [ -n "$target" ] && [ "$target" != "$f" ] && echo "$f $target"
-  done < <(sed -n 's/^[[:space:]]*#[[:space:]]*include[[:space:]]*"\([^"]*\)".*/\1/p' "$f")
-done < <(list_files '*.h') > "$edges"
-cycle_report=$(tsort "$edges" 2>&1 >/dev/null)
+in_scope '*.h'
+edges=$(while IFS= read -r hit; do
+  f=${hit%%:*} inc=${hit#*\"} inc=${inc%\"} target=""
+  if [ -f "src/$inc" ]; then
+    target="src/$inc"
+  elif [ -f "${f%/*}/$inc" ]; then
+    target="${f%/*}/$inc"
+  fi
+  # Skip system/library includes and self-includes.
+  [ -n "$target" ] && [ "$target" != "$f" ] && echo "$f $target"
+done < <(grep -oHE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"[^"]*"' /dev/null "${scope[@]}"))
+cycle_report=$(echo "$edges" | tsort 2>&1 >/dev/null)
 if echo "$cycle_report" | grep -q 'loop'; then
   fail "#include cycle detected among headers:
 $(echo "$cycle_report" | sed 's/^tsort: //')"
 fi
-rm -f "$edges"
 
 # --- 3. headers missing #pragma once ------------------------------------
+in_scope '*.h'
 while IFS= read -r f; do
-  if ! head -5 "$f" | grep -q '^#pragma once'; then
-    fail "missing '#pragma once' in $f"
-  fi
-done < <(list_files '*.h')
+  fail "missing '#pragma once' in $f"
+done < <(awk 'FNR <= 5 && /^#pragma once/ { ok[FILENAME] = 1 }
+  END { for (i = 2; i < ARGC; i++) if (!(ARGV[i] in ok)) print ARGV[i] }' \
+  /dev/null "${scope[@]}")
 
 # --- 4. raw C/unseeded randomness outside src/common/rng.h --------------
-while IFS= read -r f; do
-  [ "$f" = "src/common/rng.h" ] && continue
-  hits=$(grep -nE 'std::rand\b|[^_[:alnum:]]s?rand\(|std::random_device|std::mt19937|std::default_random_engine' "$f")
-  if [ -n "$hits" ]; then
-    fail "raw RNG use in $f (use ids::Rng from common/rng.h):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '*' 'src/common/rng.h'
+report "raw RNG use in" "(use ids::Rng from common/rng.h)" \
+  < <(hits 'std::rand\b|[^_[:alnum:]]s?rand\(|std::random_device|std::mt19937|std::default_random_engine')
 
 # --- 5. node-based hash containers in engine hot paths ------------------
 # src/core/ and src/graph/ hold the query-operator inner loops; per-node
@@ -160,54 +186,27 @@ done < <(list_files '*.h'; list_files '*.cpp')
 # favor of the flat containers in common/flat_map.h. Cold-path uses
 # (per-query config tables, build-time interning) opt out with a trailing
 # `// lint:allow-unordered` comment on the offending line.
-while IFS= read -r f; do
-  case "$f" in
-    src/core/*|src/graph/*) ;;
-    *) continue ;;
-  esac
-  hits=$(grep -nE 'std::unordered_(multi)?map' "$f" | grep -v 'lint:allow-unordered')
-  if [ -n "$hits" ]; then
-    fail "node-based hash container in hot path $f (use FlatGroupIndex/FlatTermSet from common/flat_map.h, or mark a cold-path use with // lint:allow-unordered):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '@(src/core/*|src/graph/*)'
+report "node-based hash container in hot path" "(use FlatGroupIndex/FlatTermSet from common/flat_map.h, or mark a cold-path use with // lint:allow-unordered)" \
+  < <(hits 'std::unordered_(multi)?map' | grep -v 'lint:allow-unordered')
 
 # --- 7. raw stdout writes in src/ ---------------------------------------
 # Library code must not claim the process's stdout: logs go to stderr via
 # IDS_LOG, structured data goes through the telemetry exporters (which
 # return strings). snprintf/fprintf(stderr) never match; whole-line
 # comments are skipped; `// lint:allow-stdout` opts a line out.
-while IFS= read -r f; do
-  case "$f" in
-    src/telemetry/*) continue ;;
-    src/*) ;;
-    *) continue ;;
-  esac
-  hits=$(grep -nE 'std::cout|(^|[^_[:alnum:]])printf[[:space:]]*\(|fprintf[[:space:]]*\([[:space:]]*stdout|(^|[^_[:alnum:]])puts[[:space:]]*\(' "$f" \
-           | grep -v 'lint:allow-stdout' \
-           | grep -vE '^[0-9]+:[[:space:]]*//')
-  if [ -n "$hits" ]; then
-    fail "raw stdout write in $f (log via IDS_LOG, return strings from exporters, or mark a deliberate use with // lint:allow-stdout):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope 'src/*' 'src/telemetry/*'
+report "raw stdout write in" "(log via IDS_LOG, return strings from exporters, or mark a deliberate use with // lint:allow-stdout)" \
+  < <(hits 'std::cout|(^|[^_[:alnum:]])printf[[:space:]]*\(|fprintf[[:space:]]*\([[:space:]]*stdout|(^|[^_[:alnum:]])puts[[:space:]]*\(' \
+        | grep -v 'lint:allow-stdout' | grep -vE "$at[[:space:]]*//")
 
 # --- 8. host-side sleeps in src/ outside src/sim/ -----------------------
 # Modeled code advances sim::VirtualClock; it never stalls the host. The
 # simulation layer itself may pace real time (e.g. when bridging to a
 # live process) and is exempt.
-while IFS= read -r f; do
-  case "$f" in
-    src/sim/*) continue ;;
-    src/*) ;;
-    *) continue ;;
-  esac
-  hits=$(grep -nE 'std::this_thread::sleep_(for|until)' "$f")
-  if [ -n "$hits" ]; then
-    fail "host-side sleep in $f (advance the sim::VirtualClock instead; only src/sim/ may pace real time):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope 'src/*' 'src/sim/*'
+report "host-side sleep in" "(advance the sim::VirtualClock instead; only src/sim/ may pace real time)" \
+  < <(hits 'std::this_thread::sleep_(for|until)')
 
 # --- 9. mutable static/global state in src/ -----------------------------
 # Two shapes: (a) `static` declarations that are neither immutable
@@ -217,30 +216,14 @@ done < <(list_files '*.h'; list_files '*.cpp')
 # analyzer's [shared-state] certificate classifies those with full token
 # fidelity); (b) declarations of g_-prefixed namespace-scope globals (the
 # repo's naming convention for them) lacking the same protections.
-while IFS= read -r f; do
-  case "$f" in
-    src/telemetry/*|src/common/logging.cpp) continue ;;
-    src/*) ;;
-    *) continue ;;
-  esac
-  # Blank out opted-out lines wholesale, then strip //-comment tails, so
-  # neither prose mentioning "static" nor the escape marker itself match.
-  hits=$(sed -e '/lint:allow-global/s/.*//' -e 's|//.*||' "$f" \
-           | grep -nE '(^|[[:space:]])static[[:space:]]' \
-           | grep -vE 'const|constexpr|atomic|thread_local|Mutex|CondVar|\(')
-  if [ -n "$hits" ]; then
-    fail "mutable static state in $f (make it const/atomic, guard it, or mark a deliberate use with // lint:allow-global):
-$hits"
-  fi
-  hits=$(sed -e '/lint:allow-global/s/.*//' -e 's|//.*||' "$f" \
-           | grep -nE '^[A-Za-z_][A-Za-z0-9_:<>,&* ]*[[:space:]]g_[a-z0-9_]+[[:space:]]*[={;]' \
-           | grep -vE 'const|atomic|Mutex|CondVar' \
-           | grep -vE '^[0-9]+:[[:space:]]*(return|if|while|for|case|delete|throw)\b')
-  if [ -n "$hits" ]; then
-    fail "mutable namespace-scope global in $f (make it const/atomic/internally synchronized, or mark a deliberate use with // lint:allow-global):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope 'src/*' '@(src/telemetry/*|src/common/logging.cpp)'
+report "mutable static state in" "(make it const/atomic, guard it, or mark a deliberate use with // lint:allow-global)" \
+  < <(stripped global | grep -E "($at|[[:space:]])static[[:space:]]" \
+        | grep -vE "$at.*(const|atomic|thread_local|Mutex|CondVar|\()")
+report "mutable namespace-scope global in" "(make it const/atomic/internally synchronized, or mark a deliberate use with // lint:allow-global)" \
+  < <(stripped global | grep -E "$at[A-Za-z_][A-Za-z0-9_:<>,&* ]*[[:space:]]g_[a-z0-9_]+[[:space:]]*[={;]" \
+        | grep -vE "$at.*(const|atomic|Mutex|CondVar)" \
+        | grep -vE "$at[[:space:]]*(return|if|while|for|case|delete|throw)\b")
 
 # --- 10. raw SIMD intrinsics outside src/common/simd.* ------------------
 # The dispatch layer is the only place intrinsics may live: everything
@@ -248,50 +231,28 @@ done < <(list_files '*.h'; list_files '*.cpp')
 # cross-level determinism contract. Matches the umbrella and per-ISA
 # intrinsic headers plus _mm*/_mm256*/_mm512* calls; comment tails are
 # stripped so prose about intrinsics stays legal.
-while IFS= read -r f; do
-  case "$f" in
-    src/common/simd.h|src/common/simd.cpp) continue ;;
-  esac
-  hits=$(sed -e '/lint:allow-intrinsics/s/.*//' -e 's|//.*||' "$f" \
-           | grep -nE '#[[:space:]]*include[[:space:]]*<(immintrin|[a-z]{3}mmintrin|avxintrin|avx2intrin)\.h>|(^|[^_[:alnum:]])_mm(256|512)?_[a-z0-9_]+[[:space:]]*\(')
-  if [ -n "$hits" ]; then
-    fail "raw SIMD intrinsics in $f (route through ids::simd in common/simd.h, or mark a deliberate use with // lint:allow-intrinsics):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '*' 'src/common/simd.@(h|cpp)'
+report "raw SIMD intrinsics in" "(route through ids::simd in common/simd.h, or mark a deliberate use with // lint:allow-intrinsics)" \
+  < <(stripped intrinsics | grep -E '#[[:space:]]*include[[:space:]]*<(immintrin|[a-z]{3}mmintrin|avxintrin|avx2intrin)\.h>|(^|[^_[:alnum:]])_mm(256|512)?_[a-z0-9_]+[[:space:]]*\(')
 
 # --- 11. unknown lint:allow-* escape tags -------------------------------
 # Rules 5/7/9/10/12/13 honor exactly six tags. Anything else — a typo, or
 # a tag invented for a rule that does not read it — would ride along in
 # review looking like an audited waiver while suppressing nothing. Closed
 # set, enforced here.
-while IFS= read -r f; do
-  hits=$(grep -noE 'lint:allow-[a-z0-9-]+' "$f" \
-           | grep -vE 'lint:allow-(stdout|global|unordered|intrinsics|sockets|mutable)$')
-  if [ -n "$hits" ]; then
-    fail "unknown lint:allow-* tag in $f (known tags: stdout, global, unordered, intrinsics, sockets, mutable):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '*'
+report "unknown lint:allow-* tag in" "(known tags: stdout, global, unordered, intrinsics, sockets, mutable)" \
+  < <(grep -noHE 'lint:allow-[a-z0-9-]+' /dev/null "${scope[@]}" \
+        | grep -vE 'lint:allow-(stdout|global|unordered|intrinsics|sockets|mutable)$')
 
 # --- 12. raw socket headers in src/ outside src/telemetry/ --------------
 # The observability server (src/telemetry/obs_server.cpp) is the single
 # place the process touches BSD sockets; everything else models its I/O,
 # so a socket include anywhere else is an architecture leak. Comment
 # tails are stripped so prose about sockets stays legal.
-while IFS= read -r f; do
-  case "$f" in
-    src/telemetry/*) continue ;;
-    src/*) ;;
-    *) continue ;;
-  esac
-  hits=$(sed -e '/lint:allow-sockets/s/.*//' -e 's|//.*||' "$f" \
-           | grep -nE '#[[:space:]]*include[[:space:]]*<(sys/socket\.h|netinet/[a-z0-9_]+\.h|arpa/inet\.h)>')
-  if [ -n "$hits" ]; then
-    fail "raw socket header in $f (real sockets live in src/telemetry/ only; mark a deliberate use with // lint:allow-sockets):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope 'src/*' 'src/telemetry/*'
+report "raw socket header in" "(real sockets live in src/telemetry/ only; mark a deliberate use with // lint:allow-sockets)" \
+  < <(stripped sockets | grep -E '#[[:space:]]*include[[:space:]]*<(sys/socket\.h|netinet/[a-z0-9_]+\.h|arpa/inet\.h)>')
 
 # --- 13. mutable fields in the frozen stores ----------------------------
 # src/graph/ and src/store/ hold the IDS_FROZEN_AFTER stores: after
@@ -300,19 +261,10 @@ done < <(list_files '*.h'; list_files '*.cpp')
 # contract from a const read path. Synchronized members (atomic or
 # IDS_GUARDED_BY) are exempt; comment tails are stripped so prose about
 # mutability stays legal; `// lint:allow-mutable` opts a line out.
-while IFS= read -r f; do
-  case "$f" in
-    src/graph/*|src/store/*) ;;
-    *) continue ;;
-  esac
-  hits=$(sed -e '/lint:allow-mutable/s/.*//' -e 's|//.*||' "$f" \
-           | grep -nE '(^|[[:space:]])mutable[[:space:]]' \
-           | grep -vE 'atomic|IDS_GUARDED_BY|Mutex|CondVar')
-  if [ -n "$hits" ]; then
-    fail "mutable field in frozen store $f (prepare eagerly in freeze(), make it atomic/IDS_GUARDED_BY, or mark a deliberate use with // lint:allow-mutable):
-$hits"
-  fi
-done < <(list_files '*.h'; list_files '*.cpp')
+in_scope '@(src/graph/*|src/store/*)'
+report "mutable field in frozen store" "(prepare eagerly in freeze(), make it atomic/IDS_GUARDED_BY, or mark a deliberate use with // lint:allow-mutable)" \
+  < <(stripped mutable | grep -E "($at|[[:space:]])mutable[[:space:]]" \
+        | grep -vE "$at.*(atomic|IDS_GUARDED_BY|Mutex|CondVar)")
 
 if [ "$failures" -gt 0 ]; then
   echo "lint: $failures finding(s)" >&2

@@ -77,7 +77,7 @@ fi
 
 if command -v python3 > /dev/null 2>&1; then
   python3 - "$port" <<'EOF'
-import sys, urllib.request
+import re, sys, urllib.request
 port = sys.argv[1]
 def fetch(path):
     with urllib.request.urlopen("http://127.0.0.1:%s%s" % (port, path),
@@ -90,7 +90,13 @@ for family in ("ids_engine_queries_total", "ids_cache_hits_total{",
 statusz = fetch("/statusz")
 for key in ('"build_type":', '"simd_level":', '"queries":{"total":2'):
     assert key in statusz, "missing %s in /statusz" % key
-assert "trace #" in fetch("/tracez"), "/tracez lost the query traces"
+tracez = fetch("/tracez")
+assert "trace #" in tracez, "/tracez lost the query traces"
+# One ring feeds both endpoints: the newest account is the newest trace.
+seq = re.search(r'"recent":\[\{"sequence":(\d+)', statusz)
+trace = re.search(r"=== trace #(\d+) ===", tracez)
+assert seq and trace and seq.group(1) == trace.group(1), \
+    "/statusz and /tracez disagree on the newest query"
 folded = fetch("/profilez?fmt=folded")
 assert folded.strip(), "/profilez?fmt=folded is empty"
 for line in folded.strip().splitlines():
