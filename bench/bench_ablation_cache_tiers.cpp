@@ -61,8 +61,7 @@ int main() {
     Rng rng(5);
     // Writer on node 0 stores the working set (spilling as needed).
     for (std::size_t i = 0; i < kObjects; ++i) {
-      cache.put(writer, 0, "vina/obj" + std::to_string(i),
-                std::string(kObjectBytes, 'x'));
+      cache.put(writer, 0, "vina/obj" + std::to_string(i), {}, kObjectBytes);
     }
     cache.reset_stats();
 
@@ -89,7 +88,7 @@ int main() {
   cache::CacheManager cache(base());
   sim::VirtualClock clock;
   for (std::size_t i = 0; i < 50; ++i) {
-    cache.put(clock, 1, "obj" + std::to_string(i), std::string(20'000, 'y'));
+    cache.put(clock, 1, "obj" + std::to_string(i), {}, 20'000);
   }
   cache.fail_node(1);
   cache.reset_stats();

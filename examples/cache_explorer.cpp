@@ -59,7 +59,8 @@ int main() {
     // ones stay local — an "operator-defined policy" (§3.2).
     cache::PlacementHint hint;
     hint.target_node = (smiles.size() > 24) ? 2 : 0;
-    cache.put(clock_a, /*node=*/0, key, models::serialize(result), hint);
+    const std::string artifact = models::serialize(result);
+    cache.put(clock_a, /*node=*/0, key, artifact, artifact.size(), hint);
     keys.push_back(key);
   }
   std::printf("stashed %zu artifacts in %.3f modeled s; DRAM used: "
@@ -77,9 +78,9 @@ int main() {
   sim::VirtualClock clock_b;
   int reused = 0;
   for (const auto& key : keys) {
-    auto payload = cache.get(clock_b, /*node=*/1, key);
+    auto read = cache.get(clock_b, /*node=*/1, key);
     models::DockingResult r;
-    if (payload && models::deserialize(*payload, &r)) ++reused;
+    if (read && models::deserialize(read->value, &r)) ++reused;
   }
   std::printf("reused %d/%zu docking outputs in %.4f modeled s "
               "(vs ~35 modeled s per re-docking)\n",

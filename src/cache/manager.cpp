@@ -11,14 +11,6 @@ namespace ids::cache {
 
 namespace {
 
-std::span<const std::byte> as_bytes(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
-}
-
-std::span<std::byte> as_writable_bytes(std::string& s) {
-  return {reinterpret_cast<std::byte*>(s.data()), s.size()};
-}
-
 /// Distinct default instance label per cache in construction order, so two
 /// caches sharing the global registry never merge their counters.
 std::string next_cache_name() {
@@ -28,6 +20,17 @@ std::string next_cache_name() {
 
 }  // namespace
 
+const char* read_tier_name(ReadTier tier) {
+  switch (tier) {
+    case ReadTier::kLocalDram: return "local_dram";
+    case ReadTier::kLocalSsd: return "local_ssd";
+    case ReadTier::kRemoteDram: return "remote_dram";
+    case ReadTier::kRemoteSsd: return "remote_ssd";
+    case ReadTier::kBacking: return "backing";
+  }
+  return "unknown";
+}
+
 CacheManager::CacheManager(CacheConfig config)
     : config_(std::move(config)),
       nodes_(static_cast<std::size_t>(config_.num_nodes)) {
@@ -36,15 +39,12 @@ CacheManager::CacheManager(CacheConfig config)
   auto& registry = config_.metrics != nullptr
                        ? *config_.metrics
                        : telemetry::MetricsRegistry::global();
-  auto tier_hits = [&](const char* tier) {
-    return registry.counter("ids_cache_hits_total",
-                            {{"cache", config_.name}, {"tier", tier}});
-  };
-  tele_.hits_local_dram = tier_hits("local_dram");
-  tele_.hits_local_ssd = tier_hits("local_ssd");
-  tele_.hits_remote_dram = tier_hits("remote_dram");
-  tele_.hits_remote_ssd = tier_hits("remote_ssd");
-  tele_.hits_backing = tier_hits("backing");
+  for (std::size_t t = 0; t < kNumReadTiers; ++t) {
+    tele_.hits[t] = registry.counter(
+        "ids_cache_hits_total",
+        {{"cache", config_.name},
+         {"tier", read_tier_name(static_cast<ReadTier>(t))}});
+  }
   auto cache_counter = [&](const char* metric) {
     return registry.counter(metric, {{"cache", config_.name}});
   };
@@ -54,15 +54,6 @@ CacheManager::CacheManager(CacheConfig config)
   tele_.ssd_drops = cache_counter("ids_cache_ssd_drops_total");
   tele_.bytes_read = cache_counter("ids_cache_read_bytes_total");
   tele_.bytes_written = cache_counter("ids_cache_written_bytes_total");
-  auto tier_read_bytes = [&](const char* tier) {
-    return registry.counter("ids_cache_tier_read_bytes_total",
-                            {{"cache", config_.name}, {"tier", tier}});
-  };
-  tele_.read_bytes_local_dram = tier_read_bytes("local_dram");
-  tele_.read_bytes_local_ssd = tier_read_bytes("local_ssd");
-  tele_.read_bytes_remote_dram = tier_read_bytes("remote_dram");
-  tele_.read_bytes_remote_ssd = tier_read_bytes("remote_ssd");
-  tele_.read_bytes_backing = tier_read_bytes("backing");
 
   fam::FamOptions fam_opts;
   fam_opts.server_nodes.resize(static_cast<std::size_t>(config_.num_nodes));
@@ -76,23 +67,21 @@ CacheManager::CacheManager(CacheConfig config)
 }
 
 CacheStats CacheManager::counters_snapshot() const {
+  auto hits = [this](ReadTier t) {
+    return tele_.hits[static_cast<std::size_t>(t)]->value();
+  };
   CacheStats s;
-  s.hits_local_dram = tele_.hits_local_dram->value();
-  s.hits_local_ssd = tele_.hits_local_ssd->value();
-  s.hits_remote_dram = tele_.hits_remote_dram->value();
-  s.hits_remote_ssd = tele_.hits_remote_ssd->value();
-  s.hits_backing = tele_.hits_backing->value();
+  s.hits_local_dram = hits(ReadTier::kLocalDram);
+  s.hits_local_ssd = hits(ReadTier::kLocalSsd);
+  s.hits_remote_dram = hits(ReadTier::kRemoteDram);
+  s.hits_remote_ssd = hits(ReadTier::kRemoteSsd);
+  s.hits_backing = hits(ReadTier::kBacking);
   s.misses = tele_.misses->value();
   s.puts = tele_.puts->value();
   s.spills_to_ssd = tele_.spills_to_ssd->value();
   s.ssd_drops = tele_.ssd_drops->value();
   s.bytes_read = tele_.bytes_read->value();
   s.bytes_written = tele_.bytes_written->value();
-  s.read_bytes_local_dram = tele_.read_bytes_local_dram->value();
-  s.read_bytes_local_ssd = tele_.read_bytes_local_ssd->value();
-  s.read_bytes_remote_dram = tele_.read_bytes_remote_dram->value();
-  s.read_bytes_remote_ssd = tele_.read_bytes_remote_ssd->value();
-  s.read_bytes_backing = tele_.read_bytes_backing->value();
   return s;
 }
 
@@ -147,14 +136,10 @@ void CacheManager::touch_ssd(int node, ObjectId id) {
 }
 
 bool CacheManager::read_dram_copy(sim::VirtualClock& clock, int reader_node,
-                                  int owner_node, const Meta& meta,
-                                  std::string* out) const {
+                                  int owner_node, const Meta& meta) const {
   auto desc = fam_->lookup(fam_name(object_id(meta.name), owner_node));
   if (!desc.ok()) return false;
-  out->resize(meta.size);
-  Status st = fam_->get(clock, reader_node, desc.value(), 0,
-                        as_writable_bytes(*out));
-  return st.ok();
+  return fam_->get(clock, reader_node, desc.value()).ok();
 }
 
 void CacheManager::remove_copy_record(Meta& meta, const Location& loc) {
@@ -179,7 +164,6 @@ void CacheManager::drop_copy(ObjectId id, Meta& meta, const Location& loc) {
     if (it != ns.ssd_pos.end()) {
       ns.ssd_lru.erase(it->second);
       ns.ssd_pos.erase(it);
-      ns.ssd_data.erase(id);
       ns.ssd_used -= meta.size;
     }
   }
@@ -202,20 +186,16 @@ Status CacheManager::evict_dram_lru(sim::VirtualClock& clock, int node) {
   Meta& meta = dit->second;
 
   // Demote to the same node's SSD (spill), or drop if SSD is disabled.
-  std::string payload;
-  sim::VirtualClock scratch;  // local DRAM read folded into the SSD charge
-  bool have = read_dram_copy(scratch, node, node, meta, &payload);
   drop_copy(victim, meta, Location{node, TierKind::kDram});
-  if (have && config_.enable_ssd && meta.size <= config_.ssd_capacity_bytes) {
+  if (config_.enable_ssd && meta.size <= config_.ssd_capacity_bytes) {
     clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
-    RETURN_IF_ERROR(insert_ssd(node, victim, meta, std::move(payload)));
+    RETURN_IF_ERROR(insert_ssd(node, victim, meta));
     tele_.spills_to_ssd->inc();
   }
   return Status::Ok();
 }
 
-Status CacheManager::insert_ssd(int node, ObjectId id, Meta& meta,
-                                std::string payload) {
+Status CacheManager::insert_ssd(int node, ObjectId id, Meta& meta) {
   // Policy skips (tier disabled, object larger than the tier) are not
   // errors: the object simply stays wherever it already is.
   if (!config_.enable_ssd || meta.size > config_.ssd_capacity_bytes) {
@@ -230,7 +210,6 @@ Status CacheManager::insert_ssd(int node, ObjectId id, Meta& meta,
     auto dit = directory_.find(victim);
     if (dit == directory_.end()) {
       ns.ssd_pos.erase(victim);
-      ns.ssd_data.erase(victim);
       ns.ssd_lru.pop_back();
       return Status::Internal("SSD LRU victim missing from cache directory");
     }
@@ -242,18 +221,16 @@ Status CacheManager::insert_ssd(int node, ObjectId id, Meta& meta,
   }
   ns.ssd_lru.push_front(id);
   ns.ssd_pos[id] = ns.ssd_lru.begin();
-  ns.ssd_data[id] = std::move(payload);
   ns.ssd_used += meta.size;
   meta.copies.push_back(loc);
   return Status::Ok();
 }
 
-Status CacheManager::insert_dram(sim::VirtualClock& clock, int node,
-                                 ObjectId id, Meta& meta,
-                                 const std::string& payload) {
+Status CacheManager::insert_dram(sim::VirtualClock& clock, int writer_node,
+                                 int node, ObjectId id, Meta& meta) {
   if (meta.size > config_.dram_capacity_bytes) {
     // Too big for the DRAM tier entirely; go straight to SSD.
-    return insert_ssd(node, id, meta, payload);
+    return insert_ssd(node, id, meta);
   }
   auto& ns = nodes_[static_cast<std::size_t>(node)];
   if (ns.dram_pos.contains(id)) return Status::Ok();  // already resident
@@ -263,7 +240,7 @@ Status CacheManager::insert_dram(sim::VirtualClock& clock, int node,
   }
   auto desc = fam_->allocate(fam_name(id, node), meta.size, node);
   if (!desc.ok()) return desc.status();
-  Status st = fam_->put(clock, node, desc.value(), 0, as_bytes(payload));
+  Status st = fam_->put(clock, writer_node, desc.value());
   if (!st.ok()) {
     IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, node)));
     return st;
@@ -276,8 +253,9 @@ Status CacheManager::insert_dram(sim::VirtualClock& clock, int node,
 }
 
 void CacheManager::put(sim::VirtualClock& clock, int node,
-                       std::string_view name, std::string payload,
-                       PlacementHint hint) {
+                       std::string_view name, std::string value,
+                       std::uint64_t size, PlacementHint hint) {
+  IDS_CHECK(size >= value.size());
   telemetry::ProfileScope profile_scope("cache.put");
   // Serialize the artifact *before* entering the critical section: the
   // serialization service is a shared blocking server (the paper's §8
@@ -297,16 +275,15 @@ void CacheManager::put(sim::VirtualClock& clock, int node,
     while (!meta.copies.empty()) drop_copy(id, meta, meta.copies.front());
   }
   meta.name = std::string(name);
-  meta.size = payload.size();
+  meta.value = std::move(value);
+  meta.size = size;
 
   // Write through to the backing store: the authoritative copy.
-  clock.advance(config_.fabric.backing_store.transfer_cost(payload.size()));
-  backing_[id] = payload;
-  meta.in_backing = true;
+  clock.advance(config_.fabric.backing_store.transfer_cost(size));
 
   int target = hint.target_node >= 0 ? hint.target_node : node;
   target = std::min(std::max(target, 0), config_.num_nodes - 1);
-  Status placed = insert_dram(clock, target, id, meta, payload);
+  Status placed = insert_dram(clock, node, target, id, meta);
   if (!placed.ok()) {
     // Degraded but recoverable: the object is still authoritative in the
     // backing store and will re-cache on a later get().
@@ -315,13 +292,13 @@ void CacheManager::put(sim::VirtualClock& clock, int node,
   }
 
   tele_.puts->inc();
-  tele_.bytes_written->inc(payload.size());
+  tele_.bytes_written->inc(size);
 }
 
-std::optional<std::string> CacheManager::get(sim::VirtualClock& clock,
-                                             int node, std::string_view name) {
+std::optional<CacheRead> CacheManager::get(sim::VirtualClock& clock, int node,
+                                           std::string_view name) {
   telemetry::ProfileScope profile_scope("cache.get");
-  std::optional<std::string> hit;
+  std::optional<CacheRead> hit;
   {
     MutexLock lock(mutex_);
     hit = get_locked(clock, node, name);
@@ -334,9 +311,15 @@ std::optional<std::string> CacheManager::get(sim::VirtualClock& clock,
   return hit;
 }
 
-std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
-                                                    int node,
-                                                    std::string_view name) {
+CacheRead CacheManager::served(const Meta& meta, ReadTier tier) const {
+  tele_.hits[static_cast<std::size_t>(tier)]->inc();
+  tele_.bytes_read->inc(meta.size);
+  return CacheRead{meta.value, tier, meta.size};
+}
+
+std::optional<CacheRead> CacheManager::get_locked(sim::VirtualClock& clock,
+                                                  int node,
+                                                  std::string_view name) {
   ObjectId id = object_id(name);
   charge_directory_lookup(clock, node, id);
 
@@ -352,34 +335,18 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
                      Location{n, t}) != meta.copies.end();
   };
 
-  std::string payload;
-
   // 1. Local DRAM.
   if (has_copy(node, TierKind::kDram) &&
-      read_dram_copy(clock, node, node, meta, &payload)) {
+      read_dram_copy(clock, node, node, meta)) {
     touch_dram(node, id);
-    tele_.hits_local_dram->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_local_dram->inc(meta.size);
-    return payload;
+    return served(meta, ReadTier::kLocalDram);
   }
 
   // 2. Local SSD.
   if (has_copy(node, TierKind::kSsd)) {
-    auto& ns = nodes_[static_cast<std::size_t>(node)];
-    auto sit = ns.ssd_data.find(id);
-    if (sit != ns.ssd_data.end()) {
-      payload = sit->second;
-      clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
-      touch_ssd(node, id);
-      tele_.hits_local_ssd->inc();
-      tele_.bytes_read->inc(meta.size);
-      tele_.read_bytes_local_ssd->inc(meta.size);
-      return payload;
-    }
-    // Stale copy record (bytes vanished): drop it and fall through to the
-    // remaining tiers instead of failing the read.
-    drop_copy(id, meta, Location{node, TierKind::kSsd});
+    clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size));
+    touch_ssd(node, id);
+    return served(meta, ReadTier::kLocalSsd);
   }
 
   // 3. Remote DRAM (deterministically the lowest-numbered owner).
@@ -393,49 +360,26 @@ std::optional<std::string> CacheManager::get_locked(sim::VirtualClock& clock,
       if (remote_ssd < 0 || loc.node < remote_ssd) remote_ssd = loc.node;
     }
   }
-  if (remote_dram >= 0 &&
-      read_dram_copy(clock, node, remote_dram, meta, &payload)) {
+  if (remote_dram >= 0 && read_dram_copy(clock, node, remote_dram, meta)) {
     touch_dram(remote_dram, id);
-    tele_.hits_remote_dram->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_remote_dram->inc(meta.size);
-    return payload;
+    return served(meta, ReadTier::kRemoteDram);
   }
 
   // 4. Remote SSD: SSD read on the owner, then a fabric transfer.
-  if (remote_ssd >= 0 &&
-      nodes_[static_cast<std::size_t>(remote_ssd)].ssd_data.contains(id)) {
-    auto& ns = nodes_[static_cast<std::size_t>(remote_ssd)];
-    payload = ns.ssd_data.at(id);
+  if (remote_ssd >= 0) {
     clock.advance(config_.fabric.local_ssd.transfer_cost(meta.size) +
                   config_.fabric.inter_node.transfer_cost(meta.size));
     touch_ssd(remote_ssd, id);
-    tele_.hits_remote_ssd->inc();
-    tele_.bytes_read->inc(meta.size);
-    tele_.read_bytes_remote_ssd->inc(meta.size);
-    return payload;
+    return served(meta, ReadTier::kRemoteSsd);
   }
 
-  // 5. Backing store (authoritative). Re-populate the reader's DRAM so a
-  // failed node's working set rebuilds as it is touched.
-  if (meta.in_backing) {
-    auto bit = backing_.find(id);
-    if (bit != backing_.end()) {
-      payload = bit->second;
-      clock.advance(config_.fabric.backing_store.transfer_cost(meta.size));
-      tele_.hits_backing->inc();
-      tele_.bytes_read->inc(meta.size);
-      tele_.read_bytes_backing->inc(meta.size);
-      // Best-effort re-population of the reader's DRAM.
-      IDS_IGNORE_ERROR(insert_dram(clock, node, id, meta, payload));
-      return payload;
-    }
-    // in_backing flag with no backing bytes: treat as the miss it is.
-    meta.in_backing = false;
-  }
-
-  tele_.misses->inc();
-  return std::nullopt;
+  // 5. Backing store (authoritative: every put wrote through). Re-populate
+  // the reader's DRAM so a failed node's working set rebuilds as it is
+  // touched; the reader pays that write.
+  clock.advance(config_.fabric.backing_store.transfer_cost(meta.size));
+  CacheRead read = served(meta, ReadTier::kBacking);
+  IDS_IGNORE_ERROR(insert_dram(clock, node, node, id, meta));
+  return read;
 }
 
 std::vector<Location> CacheManager::locations(std::string_view name) const {

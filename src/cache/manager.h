@@ -12,11 +12,20 @@
 // store (the DAOS/Lustre stand-in), so a node failure loses only cached
 // copies, never data.
 //
+// Each object is stored once: its directory entry holds the value and the
+// artifact's modeled size. Every put writes through, so the directory also
+// indexes the backing store, and the tiers keep records, not bytes: an
+// LRU position per copy and, for a DRAM copy, a FAM region of the modeled
+// length. Every transfer is priced from the modeled size.
+//
 // Read path (cheapest first): local DRAM -> local SSD -> remote DRAM ->
 // remote SSD -> backing store -> miss (caller recomputes and put()s).
-// Metadata lives in a directory sharded by object id across nodes; a
-// lookup whose directory shard is remote pays a small-message round trip.
+// get() reports the tier that served each read, so a caller can account
+// for its own traffic. Metadata lives in a directory sharded by object id
+// across nodes; a lookup whose directory shard is remote pays a
+// small-message round trip.
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -43,6 +52,21 @@ struct Location {
   int node = -1;
   TierKind tier = TierKind::kDram;
   friend bool operator==(const Location&, const Location&) = default;
+};
+
+/// The tier that served a get(), in read-path order.
+enum class ReadTier { kLocalDram, kLocalSsd, kRemoteDram, kRemoteSsd, kBacking };
+inline constexpr std::size_t kNumReadTiers = 5;
+
+/// "local_dram", "local_ssd", "remote_dram", "remote_ssd" or "backing".
+const char* read_tier_name(ReadTier tier);
+
+/// One served get(): the stored value, the tier that served it and the
+/// object's modeled size, which is what the read was charged for.
+struct CacheRead {
+  std::string value;
+  ReadTier tier = ReadTier::kLocalDram;
+  std::uint64_t size = 0;
 };
 
 struct CacheConfig {
@@ -80,17 +104,20 @@ class CacheManager {
 
   const CacheConfig& config() const { return config_; }
 
-  /// Stores `payload` under `name`, cached on the hint node (default: the
+  /// Stores `value` under `name` as an artifact of `size` modeled bytes
+  /// (at least value.size()), cached on the hint node (default: the
   /// caller's node) and written through to backing storage. Charges
-  /// `clock` for every modeled transfer. Overwrites any existing object.
+  /// `clock` for every modeled transfer, the writer `node` paying for
+  /// the move to the hint node. Overwrites any existing object.
   void put(sim::VirtualClock& clock, int node, std::string_view name,
-           std::string payload, PlacementHint hint = {}) IDS_EXCLUDES(mutex_);
+           std::string value, std::uint64_t size, PlacementHint hint = {})
+      IDS_EXCLUDES(mutex_);
 
-  /// Fetches the object, charging `clock` for the cheapest available path.
-  /// nullopt = total miss (not cached anywhere and not in backing store);
+  /// Fetches the object, charging `clock` for the cheapest available path,
+  /// and reports the tier that served it. nullopt = total miss (never put);
   /// the caller is expected to recompute and put().
-  std::optional<std::string> get(sim::VirtualClock& clock, int node,
-                                 std::string_view name) IDS_EXCLUDES(mutex_);
+  std::optional<CacheRead> get(sim::VirtualClock& clock, int node,
+                               std::string_view name) IDS_EXCLUDES(mutex_);
 
   /// Locality query: where are copies of this object right now? (§3.2)
   std::vector<Location> locations(std::string_view name) const
@@ -121,9 +148,9 @@ class CacheManager {
  private:
   struct Meta {
     std::string name;
-    std::uint64_t size = 0;
+    std::string value;
+    std::uint64_t size = 0;  // modeled bytes; prices every transfer
     std::vector<Location> copies;
-    bool in_backing = false;
   };
   struct NodeState {
     std::list<ObjectId> dram_lru;  // front = most recently used
@@ -133,7 +160,6 @@ class CacheManager {
     std::list<ObjectId> ssd_lru;
     std::unordered_map<ObjectId, std::list<ObjectId>::iterator, ObjectIdHash>
         ssd_pos;
-    std::unordered_map<ObjectId, std::string, ObjectIdHash> ssd_data;
     std::uint64_t ssd_used = 0;
   };
 
@@ -160,8 +186,8 @@ class CacheManager {
 
   /// get() body; charge_serialization of the fetched artifact is the
   /// caller's job, outside the critical section.
-  std::optional<std::string> get_locked(sim::VirtualClock& clock, int node,
-                                        std::string_view name)
+  std::optional<CacheRead> get_locked(sim::VirtualClock& clock, int node,
+                                      std::string_view name)
       IDS_REQUIRES(mutex_);
 
   // All helpers below require mutex_ held (machine-checked under Clang).
@@ -172,15 +198,13 @@ class CacheManager {
   void touch_dram(int node, ObjectId id) IDS_REQUIRES(mutex_);
   void touch_ssd(int node, ObjectId id) IDS_REQUIRES(mutex_);
   bool read_dram_copy(sim::VirtualClock& clock, int reader_node, int owner_node,
-                      const Meta& meta, std::string* out) const
-      IDS_REQUIRES(mutex_);
-  Status insert_dram(sim::VirtualClock& clock, int node, ObjectId id,
-                     Meta& meta, const std::string& payload)
-      IDS_REQUIRES(mutex_);
+                      const Meta& meta) const IDS_REQUIRES(mutex_);
+  /// Places a DRAM copy on `node`; `writer_node` pays the FAM write.
+  Status insert_dram(sim::VirtualClock& clock, int writer_node, int node,
+                     ObjectId id, Meta& meta) IDS_REQUIRES(mutex_);
   Status evict_dram_lru(sim::VirtualClock& clock, int node)
       IDS_REQUIRES(mutex_);
-  Status insert_ssd(int node, ObjectId id, Meta& meta, std::string payload)
-      IDS_REQUIRES(mutex_);
+  Status insert_ssd(int node, ObjectId id, Meta& meta) IDS_REQUIRES(mutex_);
   void drop_copy(ObjectId id, Meta& meta, const Location& loc)
       IDS_REQUIRES(mutex_);
   void remove_copy_record(Meta& meta, const Location& loc)
@@ -190,25 +214,17 @@ class CacheManager {
   /// this cache's instance name. Resolved once at construction; the
   /// increments themselves are lock-free atomics.
   struct Telemetry {
-    telemetry::Counter* hits_local_dram;
-    telemetry::Counter* hits_local_ssd;
-    telemetry::Counter* hits_remote_dram;
-    telemetry::Counter* hits_remote_ssd;
-    telemetry::Counter* hits_backing;
+    std::array<telemetry::Counter*, kNumReadTiers> hits;  // by ReadTier
     telemetry::Counter* misses;
     telemetry::Counter* puts;
     telemetry::Counter* spills_to_ssd;
     telemetry::Counter* ssd_drops;
     telemetry::Counter* bytes_read;
     telemetry::Counter* bytes_written;
-    // ids_cache_tier_read_bytes_total{cache,tier}: read-path payload
-    // bytes attributed to the serving tier (per-query accounting).
-    telemetry::Counter* read_bytes_local_dram;
-    telemetry::Counter* read_bytes_local_ssd;
-    telemetry::Counter* read_bytes_remote_dram;
-    telemetry::Counter* read_bytes_remote_ssd;
-    telemetry::Counter* read_bytes_backing;
   };
+
+  /// Counts a read served by `tier` and returns it.
+  CacheRead served(const Meta& meta, ReadTier tier) const;
 
   /// Current absolute values of the registry counters as a CacheStats.
   CacheStats counters_snapshot() const;
@@ -220,8 +236,6 @@ class CacheManager {
   std::unique_ptr<fam::FamService> fam_;
   mutable Mutex mutex_;
   std::unordered_map<ObjectId, Meta, ObjectIdHash> directory_
-      IDS_GUARDED_BY(mutex_);
-  std::unordered_map<ObjectId, std::string, ObjectIdHash> backing_
       IDS_GUARDED_BY(mutex_);
   std::vector<NodeState> nodes_ IDS_GUARDED_BY(mutex_);
   /// Counter values at the last reset_stats(); stats() reports the delta.

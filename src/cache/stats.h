@@ -21,16 +21,8 @@ struct CacheStats {
   std::uint64_t spills_to_ssd = 0;  // DRAM eviction demoted a copy to SSD
   std::uint64_t ssd_drops = 0;      // SSD eviction dropped a cached copy
 
-  std::uint64_t bytes_read = 0;
+  std::uint64_t bytes_read = 0;     // modeled bytes
   std::uint64_t bytes_written = 0;
-
-  // Read-path payload bytes by serving tier (they sum to bytes_read).
-  // Feeds per-query TierBytes accounting in telemetry/query_stats.h.
-  std::uint64_t read_bytes_local_dram = 0;
-  std::uint64_t read_bytes_local_ssd = 0;
-  std::uint64_t read_bytes_remote_dram = 0;
-  std::uint64_t read_bytes_remote_ssd = 0;
-  std::uint64_t read_bytes_backing = 0;
 
   std::uint64_t total_hits() const {
     return hits_local_dram + hits_local_ssd + hits_remote_dram +
@@ -59,15 +51,6 @@ struct CacheStats {
     d.ssd_drops = ssd_drops - baseline.ssd_drops;
     d.bytes_read = bytes_read - baseline.bytes_read;
     d.bytes_written = bytes_written - baseline.bytes_written;
-    d.read_bytes_local_dram =
-        read_bytes_local_dram - baseline.read_bytes_local_dram;
-    d.read_bytes_local_ssd =
-        read_bytes_local_ssd - baseline.read_bytes_local_ssd;
-    d.read_bytes_remote_dram =
-        read_bytes_remote_dram - baseline.read_bytes_remote_dram;
-    d.read_bytes_remote_ssd =
-        read_bytes_remote_ssd - baseline.read_bytes_remote_ssd;
-    d.read_bytes_backing = read_bytes_backing - baseline.read_bytes_backing;
     return d;
   }
 

@@ -68,11 +68,6 @@ void log_line(LogLevel level, const std::string& msg) {
   std::fprintf(stderr, "[ids %s %s t%02d] %s\n", level_name(level), ts, tid,
                msg.c_str());
 }
-
-bool should_log_every_n(std::atomic<std::uint64_t>* counter, std::uint64_t n) {
-  if (n <= 1) return true;
-  return counter->fetch_add(1, std::memory_order_relaxed) % n == 0;
-}
 }  // namespace internal
 
 }  // namespace ids

@@ -8,12 +8,7 @@
 // Line format: `[ids WARN  2026-08-05T14:03:22.123Z t03] message` — an
 // ISO-8601 UTC timestamp plus a small stable per-thread id, so interleaved
 // multi-rank output can be ordered and attributed.
-//
-// IDS_LOG_EVERY_N(level, n) rate-limits a hot-path log site: the first
-// call logs, then every n-th after that (per call site, process lifetime).
 
-#include <atomic>
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -27,10 +22,6 @@ LogLevel log_level();
 
 namespace internal {
 void log_line(LogLevel level, const std::string& msg);
-
-/// True when this call should log: call index 0, n, 2n, ... of `counter`.
-/// n <= 1 always logs.
-bool should_log_every_n(std::atomic<std::uint64_t>* counter, std::uint64_t n);
 
 class LogMessage {
  public:
@@ -57,21 +48,6 @@ class LogMessage {
   if (static_cast<int>(level) < static_cast<int>(::ids::log_level())) { \
   } else                                                \
     ::ids::internal::LogMessage(level)
-
-/// Rate-limited IDS_LOG: logs the 1st, (n+1)th, (2n+1)th... execution of
-/// this call site. The immediately-invoked lambda gives each expansion its
-/// own function-local static counter; the single-iteration for-loop scopes
-/// it while still letting the trailing `<< ...` stream bind to IDS_LOG.
-#define IDS_LOG_EVERY_N(level, n)                                          \
-  for (bool ids_log_every_n_once =                                         \
-           ::ids::internal::should_log_every_n(                            \
-               [] {                                                        \
-                 static ::std::atomic<::std::uint64_t> ids_log_counter{0}; \
-                 return &ids_log_counter;                                  \
-               }(),                                                        \
-               (n));                                                       \
-       ids_log_every_n_once; ids_log_every_n_once = false)                 \
-  IDS_LOG(level)
 
 #define IDS_DEBUG IDS_LOG(::ids::LogLevel::kDebug)
 #define IDS_INFO IDS_LOG(::ids::LogLevel::kInfo)

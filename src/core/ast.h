@@ -59,7 +59,8 @@ struct InvokeClause {
   bool use_cache = false;
   std::string cache_prefix;
   /// Modeled size of the cached artifact (a full Vina output, not just the
-  /// scalar we extract from it).
+  /// scalar we extract from it). The cache stores only the scalar's text
+  /// and prices every transfer of it at this size.
   std::size_t cached_payload_bytes = 50'000;
 };
 

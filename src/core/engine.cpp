@@ -1,9 +1,11 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 #include <optional>
 
@@ -55,6 +57,24 @@ std::vector<std::string> pattern_vars(const TriplePattern& p) {
   return vars;
 }
 
+/// One rank's, and then one query's, own cache traffic: hits and modeled
+/// bytes by serving tier, misses, and the modeled bytes put.
+struct CacheTally {
+  std::array<std::uint64_t, cache::kNumReadTiers> hits{};
+  std::array<std::uint64_t, cache::kNumReadTiers> bytes_in{};
+  std::uint64_t misses = 0;
+  std::uint64_t bytes_written = 0;
+
+  void add(const CacheTally& o) {
+    for (std::size_t t = 0; t < cache::kNumReadTiers; ++t) {
+      hits[t] += o.hits[t];
+      bytes_in[t] += o.bytes_in[t];
+    }
+    misses += o.misses;
+    bytes_written += o.bytes_written;
+  }
+};
+
 /// The whole execution state of one query.
 class QueryExecution {
  public:
@@ -87,7 +107,6 @@ class QueryExecution {
     metrics_->counter("ids_engine_queries_total")->inc();
     query_wall_start_ = telemetry::Tracer::wall_now_ns();
     stage_wall_start_ = query_wall_start_;
-    if (opts_.cache != nullptr) cache_query_baseline_ = opts_.cache->stats();
     if (tracer_ != nullptr) {
       // First span index of this query, so the query ring gets exactly
       // this query's tree out of a tracer shared across queries.
@@ -221,8 +240,8 @@ class QueryExecution {
     last_mark_ = now;
   }
 
-  /// Seals result_.account at the end of run(): whole-query times, cache
-  /// tier deltas over the query, and the ids_query_* instruments. The
+  /// Seals result_.account at the end of run(): whole-query times, the
+  /// query's own cache traffic, and the ids_query_* instruments. The
   /// result's stage list and total are copied from the account.
   void finish_account() {
     telemetry::QueryResourceAccount& acct = result_.account;
@@ -236,21 +255,13 @@ class QueryExecution {
     for (const telemetry::StageAccount& st : acct.stages) {
       result_.stages.push_back({st.stage, st.modeled_seconds});
     }
-    if (opts_.cache != nullptr) {
-      const cache::CacheStats d =
-          opts_.cache->stats().since(cache_query_baseline_);
-      acct.cache_bytes_written = d.bytes_written;
-      acct.cache_misses = d.misses;
-      auto tier = [&acct](const char* name, std::uint64_t bytes,
-                          std::uint64_t hits) {
-        if (bytes == 0 && hits == 0) return;  // only tiers that served
-        acct.tiers.push_back({name, bytes, hits});
-      };
-      tier("local_dram", d.read_bytes_local_dram, d.hits_local_dram);
-      tier("local_ssd", d.read_bytes_local_ssd, d.hits_local_ssd);
-      tier("remote_dram", d.read_bytes_remote_dram, d.hits_remote_dram);
-      tier("remote_ssd", d.read_bytes_remote_ssd, d.hits_remote_ssd);
-      tier("backing", d.read_bytes_backing, d.hits_backing);
+    acct.cache_bytes_written = cache_tally_.bytes_written;
+    acct.cache_misses = cache_tally_.misses;
+    for (std::size_t t = 0; t < cache::kNumReadTiers; ++t) {
+      if (cache_tally_.hits[t] == 0) continue;  // only tiers that served
+      acct.tiers.push_back(
+          {cache::read_tier_name(static_cast<cache::ReadTier>(t)),
+           cache_tally_.bytes_in[t], cache_tally_.hits[t]});
     }
     metrics_->counter("ids_query_rows_gathered_total")
         ->inc(acct.rows_gathered);
@@ -1034,20 +1045,6 @@ class QueryExecution {
     mark();
   }
 
-  /// Cache payloads store the scalar result first so the engine can parse
-  /// it back without re-running the model; the padding models the full
-  /// artifact (e.g. a complete Vina output file).
-  static std::string make_payload(double value, std::size_t total_bytes) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);  // exact round trip
-    std::string payload = buf;
-    payload += ';';
-    if (payload.size() < total_bytes) {
-      payload.resize(total_bytes, '#');
-    }
-    return payload;
-  }
-
   std::string render_cache_key(const InvokeClause& inv,
                                const std::vector<expr::Value>& args) const {
     std::string key = inv.cache_prefix;
@@ -1079,6 +1076,7 @@ class QueryExecution {
     stage_begin("invoke:" + inv.udf);
 
     std::atomic<std::size_t> invoked{0};
+    std::vector<CacheTally> tallies(cached ? clocks_.size() : 0);
 
     each_rank("rank.invoke", "invoke", [&](int r, telemetry::SpanId span) {
       auto ru = static_cast<std::size_t>(r);
@@ -1108,19 +1106,27 @@ class QueryExecution {
         clock.advance(ctx.cost);
         ctx.cost = 0;
 
-        std::optional<std::string> payload;
+        std::optional<cache::CacheRead> read;
         std::string key;
         if (cached) {
           key = render_cache_key(inv, args);
           const telemetry::SpanId get =
               call_span("cache.get", "cache", span, r, [&] {
-                payload = opts_.cache->get(clock, cache_node_of_rank(r), key);
+                read = opts_.cache->get(clock, cache_node_of_rank(r), key);
               });
-          count_attr(get, "hit", payload ? 1 : 0);
+          count_attr(get, "hit", read ? 1 : 0);
+          CacheTally& tally = tallies[ru];
+          if (read) {
+            const auto t = static_cast<std::size_t>(read->tier);
+            ++tally.hits[t];
+            tally.bytes_in[t] += read->size;
+          } else {
+            ++tally.misses;
+          }
         }
         double value = 0.0;
-        if (payload) {
-          value = std::strtod(payload->c_str(), nullptr);
+        if (read) {
+          value = std::strtod(read->value.c_str(), nullptr);
         } else {
           // Execute the model (a cache miss falls back to re-running the
           // simulation, the paper's "last resort on a total miss").
@@ -1135,16 +1141,23 @@ class QueryExecution {
             ctx.cost = 0;
           });
           if (cached) {
+            // The value is the exact round-trip text; the artifact it
+            // stands for (a full Vina output) is cached_payload_bytes.
+            char text[32];
+            std::snprintf(text, sizeof(text), "%.17g", value);
+            const std::uint64_t size = std::max<std::uint64_t>(
+                inv.cached_payload_bytes, std::strlen(text));
             call_span("cache.put", "cache", span, r, [&] {
-              opts_.cache->put(clock, cache_node_of_rank(r), key,
-                               make_payload(value, inv.cached_payload_bytes));
+              opts_.cache->put(clock, cache_node_of_rank(r), key, text, size);
             });
+            tallies[ru].bytes_written += size;
           }
         }
         t.set_num(row, out_col, value);
       }
     });
     result_.account.udf_invocations += invoked.load();
+    for (const CacheTally& t : tallies) cache_tally_.add(t);
 
     // Shared-server queueing of the cache's (de)serialization service: a
     // single server processing every cache operation of this stage
@@ -1255,7 +1268,7 @@ class QueryExecution {
   // there), so it needs no synchronization.
   std::uint64_t query_wall_start_ = 0;
   std::size_t trace_base_ = 0;  // tracer_->size() at run() start
-  cache::CacheStats cache_query_baseline_;
+  CacheTally cache_tally_;  // summed over the query's INVOKE stages
 };
 
 }  // namespace

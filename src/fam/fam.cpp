@@ -1,8 +1,5 @@
 #include "fam/fam.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/check.h"
 
 namespace ids::fam {
@@ -14,9 +11,8 @@ FamService::FamService(FamOptions options) : options_(std::move(options)) {
                        : telemetry::MetricsRegistry::global();
   puts_total_ = registry.counter("ids_fam_puts_total");
   gets_total_ = registry.counter("ids_fam_gets_total");
-  atomics_total_ = registry.counter("ids_fam_atomics_total");
-  written_bytes_total_ = registry.counter("ids_fam_written_bytes_total");
-  read_bytes_total_ = registry.counter("ids_fam_read_bytes_total");
+  bytes_written_total_ = registry.counter("ids_fam_written_bytes_total");
+  bytes_read_total_ = registry.counter("ids_fam_read_bytes_total");
   alloc_failures_total_ = registry.counter("ids_fam_alloc_failures_total");
   server_failures_total_ = registry.counter("ids_fam_server_failures_total");
   servers_.reserve(options_.server_nodes.size());
@@ -30,7 +26,7 @@ FamService::FamService(FamOptions options) : options_(std::move(options)) {
 sim::Nanos FamService::transfer_cost(int caller_node, int server,
                                      std::uint64_t bytes) const {
   // Reads only the immutable node mapping, so it is safe both under
-  // mutex_ (from put/get/atomics) and without it (public cost queries).
+  // mutex_ (from put/get) and without it (public cost queries).
   const auto& link = (caller_node == server_node(server))
                          ? options_.fabric.intra_node
                          : options_.fabric.inter_node;
@@ -76,12 +72,8 @@ Result<Descriptor> FamService::allocate(std::string_view name,
   }
 
   auto& s = servers_[static_cast<std::size_t>(server)];
-  Region r;
-  r.id = next_region_++;
-  r.size = size;
-  r.data.assign(size, std::byte{0});
-  Descriptor d{server, r.id, size};
-  s.regions.emplace(r.id, std::move(r));
+  Descriptor d{server, next_region_++, size};
+  s.regions.emplace(d.region, size);
   s.used += size;
   names_.emplace(std::move(key), d);
   return d;
@@ -98,7 +90,7 @@ Status FamService::deallocate(std::string_view name) {
   auto& s = servers_[static_cast<std::size_t>(d.server)];
   auto rit = s.regions.find(d.region);
   if (rit != s.regions.end()) {
-    s.used -= rit->second.size;
+    s.used -= rit->second;
     s.regions.erase(rit);
   }
   return Status::Ok();
@@ -113,8 +105,7 @@ Result<Descriptor> FamService::lookup(std::string_view name) const {
   return it->second;
 }
 
-Status FamService::check(const Descriptor& d, std::uint64_t offset,
-                         std::uint64_t len) const {
+Result<std::uint64_t> FamService::region_length(const Descriptor& d) const {
   if (!d.valid() || d.server >= num_servers()) {
     return Status::InvalidArgument("invalid fam descriptor");
   }
@@ -124,88 +115,27 @@ Status FamService::check(const Descriptor& d, std::uint64_t offset,
   if (rit == s.regions.end()) {
     return Status::NotFound("fam region gone (server failure?)");
   }
-  if (offset + len > rit->second.size) {
-    return Status::OutOfRange("fam access beyond region");
-  }
-  return Status::Ok();
-}
-
-const FamService::Region* FamService::find_region(const Descriptor& d) const {
-  const auto& s = servers_[static_cast<std::size_t>(d.server)];
-  auto rit = s.regions.find(d.region);
-  return rit == s.regions.end() ? nullptr : &rit->second;
+  return rit->second;
 }
 
 Status FamService::put(sim::VirtualClock& clock, int caller_node,
-                       const Descriptor& d, std::uint64_t offset,
-                       std::span<const std::byte> data) {
+                       const Descriptor& d) {
   MutexLock lock(mutex_);
-  if (Status st = check(d, offset, data.size()); !st.ok()) return st;
-  auto& region =
-      servers_[static_cast<std::size_t>(d.server)].regions.at(d.region);
-  std::memcpy(region.data.data() + offset, data.data(), data.size());
-  clock.advance(transfer_cost(caller_node, d.server, data.size()));
+  ASSIGN_OR_RETURN(const std::uint64_t length, region_length(d));
+  clock.advance(transfer_cost(caller_node, d.server, length));
   puts_total_->inc();
-  written_bytes_total_->inc(data.size());
+  bytes_written_total_->inc(length);
   return Status::Ok();
 }
 
 Status FamService::get(sim::VirtualClock& clock, int caller_node,
-                       const Descriptor& d, std::uint64_t offset,
-                       std::span<std::byte> out) const {
+                       const Descriptor& d) const {
   MutexLock lock(mutex_);
-  if (Status st = check(d, offset, out.size()); !st.ok()) return st;
-  const Region* region = find_region(d);
-  std::memcpy(out.data(), region->data.data() + offset, out.size());
-  clock.advance(transfer_cost(caller_node, d.server, out.size()));
+  ASSIGN_OR_RETURN(const std::uint64_t length, region_length(d));
+  clock.advance(transfer_cost(caller_node, d.server, length));
   gets_total_->inc();
-  read_bytes_total_->inc(out.size());
+  bytes_read_total_->inc(length);
   return Status::Ok();
-}
-
-Result<std::uint64_t> FamService::fetch_add(sim::VirtualClock& clock,
-                                            int caller_node,
-                                            const Descriptor& d,
-                                            std::uint64_t offset,
-                                            std::uint64_t delta) {
-  MutexLock lock(mutex_);
-  if (offset % 8 != 0) return Status::InvalidArgument("unaligned fam atomic");
-  if (Status st = check(d, offset, 8); !st.ok()) return st;
-  auto& region =
-      servers_[static_cast<std::size_t>(d.server)].regions.at(d.region);
-  std::uint64_t old = 0;
-  std::memcpy(&old, region.data.data() + offset, 8);
-  std::uint64_t updated = old + delta;
-  std::memcpy(region.data.data() + offset, &updated, 8);
-  clock.advance(transfer_cost(caller_node, d.server, 8) * 2);  // round trip
-  atomics_total_->inc();
-  return old;
-}
-
-Result<std::uint64_t> FamService::compare_swap(sim::VirtualClock& clock,
-                                               int caller_node,
-                                               const Descriptor& d,
-                                               std::uint64_t offset,
-                                               std::uint64_t expected,
-                                               std::uint64_t desired) {
-  MutexLock lock(mutex_);
-  if (offset % 8 != 0) return Status::InvalidArgument("unaligned fam atomic");
-  if (Status st = check(d, offset, 8); !st.ok()) return st;
-  auto& region =
-      servers_[static_cast<std::size_t>(d.server)].regions.at(d.region);
-  std::uint64_t old = 0;
-  std::memcpy(&old, region.data.data() + offset, 8);
-  if (old == expected) {
-    std::memcpy(region.data.data() + offset, &desired, 8);
-  }
-  clock.advance(transfer_cost(caller_node, d.server, 8) * 2);
-  atomics_total_->inc();
-  return old;
-}
-
-std::uint64_t FamService::used_bytes(int server) const {
-  MutexLock lock(mutex_);
-  return servers_[static_cast<std::size_t>(server)].used;
 }
 
 void FamService::fail_server(int server) {
@@ -230,11 +160,6 @@ void FamService::fail_server(int server) {
 void FamService::recover_server(int server) {
   MutexLock lock(mutex_);
   servers_[static_cast<std::size_t>(server)].alive = true;
-}
-
-bool FamService::server_alive(int server) const {
-  MutexLock lock(mutex_);
-  return servers_[static_cast<std::size_t>(server)].alive;
 }
 
 }  // namespace ids::fam

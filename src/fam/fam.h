@@ -3,13 +3,14 @@
 // OpenFAM-style disaggregated memory (§3.3).
 //
 // The paper's global cache moves data over RDMA through OpenFAM: named
-// allocations on memory servers, descriptor-based put/get, and lightweight
-// atomics (the OpenSHMEM-modelled API). This module reproduces that
-// surface: FamService owns a set of memory servers (each mapped to a
-// cluster node id), allocations are named regions with capacity
-// accounting, and every data operation charges the caller's virtual clock
-// with the alpha-beta cost of the transfer (intra-node when caller and
-// server share a node, fabric otherwise).
+// allocations on memory servers and descriptor-based put/get. This module
+// reproduces what the model needs of that surface: FamService owns a set
+// of memory servers (each mapped to a cluster node id), allocations are
+// named regions with capacity accounting, and every put/get moves a whole
+// region and charges the caller's virtual clock with the alpha-beta cost
+// of its length (intra-node when caller and server share a node, fabric
+// otherwise). A region records only its length; the bytes it models live
+// with the cache object that owns it.
 //
 // Server failure drops the server's contents (fabric-attached memory in
 // this prototype is not persistent) — exactly the failure model the cache
@@ -17,8 +18,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -77,39 +76,20 @@ class FamService {
   /// Finds an existing allocation by name.
   Result<Descriptor> lookup(std::string_view name) const IDS_EXCLUDES(mutex_);
 
-  /// Writes `data` at `offset` within the allocation, charging `clock`
-  /// with the transfer cost from `caller_node` to the owning server.
-  Status put(sim::VirtualClock& clock, int caller_node, const Descriptor& d,
-             std::uint64_t offset, std::span<const std::byte> data)
+  /// Writes the whole region, charging `clock` with the transfer cost of
+  /// its length from `caller_node` to the owning server.
+  Status put(sim::VirtualClock& clock, int caller_node, const Descriptor& d)
       IDS_EXCLUDES(mutex_);
 
-  /// Reads `out.size()` bytes at `offset`, charging `clock` likewise.
-  Status get(sim::VirtualClock& clock, int caller_node, const Descriptor& d,
-             std::uint64_t offset, std::span<std::byte> out) const
-      IDS_EXCLUDES(mutex_);
-
-  /// Atomic fetch-and-add on a 64-bit word at `offset` (must be 8-aligned).
-  /// Charges one small-message round trip.
-  Result<std::uint64_t> fetch_add(sim::VirtualClock& clock, int caller_node,
-                                  const Descriptor& d, std::uint64_t offset,
-                                  std::uint64_t delta) IDS_EXCLUDES(mutex_);
-
-  /// Atomic compare-and-swap; returns the previous value.
-  Result<std::uint64_t> compare_swap(sim::VirtualClock& clock, int caller_node,
-                                     const Descriptor& d, std::uint64_t offset,
-                                     std::uint64_t expected,
-                                     std::uint64_t desired)
-      IDS_EXCLUDES(mutex_);
-
-  std::uint64_t used_bytes(int server) const IDS_EXCLUDES(mutex_);
-  std::uint64_t capacity_bytes() const { return options_.server_capacity_bytes; }
+  /// Reads the whole region, charging `clock` likewise.
+  Status get(sim::VirtualClock& clock, int caller_node,
+             const Descriptor& d) const IDS_EXCLUDES(mutex_);
 
   /// Crashes a server: all its allocations disappear, capacity returns
   /// when it is recovered.
   void fail_server(int server) IDS_EXCLUDES(mutex_);
   /// Brings a failed server back empty.
   void recover_server(int server) IDS_EXCLUDES(mutex_);
-  bool server_alive(int server) const IDS_EXCLUDES(mutex_);
 
   /// Transfer cost between a caller node and a server, exposed so the
   /// cache layer prices placements consistently.
@@ -117,21 +97,16 @@ class FamService {
                            std::uint64_t bytes) const;
 
  private:
-  struct Region {
-    std::uint64_t id;
-    std::uint64_t size;
-    std::vector<std::byte> data;
-  };
   struct Server {
     int node;
     bool alive = true;
     std::uint64_t used = 0;
-    std::unordered_map<std::uint64_t, Region> regions;
+    std::unordered_map<std::uint64_t, std::uint64_t> regions;  // id -> length
   };
 
-  Status check(const Descriptor& d, std::uint64_t offset,
-               std::uint64_t len) const IDS_REQUIRES(mutex_);
-  const Region* find_region(const Descriptor& d) const IDS_REQUIRES(mutex_);
+  /// The length of `d`'s region, or why the region cannot be accessed.
+  Result<std::uint64_t> region_length(const Descriptor& d) const
+      IDS_REQUIRES(mutex_);
 
   const FamOptions options_;  // immutable after construction
 
@@ -139,9 +114,8 @@ class FamService {
   // the data path; counted only for operations that succeed).
   telemetry::Counter* puts_total_;
   telemetry::Counter* gets_total_;
-  telemetry::Counter* atomics_total_;
-  telemetry::Counter* written_bytes_total_;
-  telemetry::Counter* read_bytes_total_;
+  telemetry::Counter* bytes_written_total_;
+  telemetry::Counter* bytes_read_total_;
   telemetry::Counter* alloc_failures_total_;
   telemetry::Counter* server_failures_total_;
 

@@ -87,18 +87,6 @@ std::size_t FeatureStore::size() const {
   return n;
 }
 
-void FeatureStore::for_each(
-    const std::function<void(graph::TermId, std::string_view,
-                             const FeatureValue&)>& fn) const {
-  for (const auto& shard : shards_) {
-    for (const auto& [entity, entries] : shard.entities) {
-      for (const auto& e : entries) {
-        fn(entity, feature_names_[e.feature], e.value);
-      }
-    }
-  }
-}
-
 std::size_t FeatureStore::value_bytes(const FeatureValue& v) {
   if (const std::string* s = std::get_if<std::string>(&v)) return s->size();
   return 8;

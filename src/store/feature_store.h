@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -69,11 +68,6 @@ class FeatureStore {
 
   /// Total number of (entity, feature) pairs stored.
   std::size_t size() const;
-
-  /// Visits every (entity, feature name, value) pair. Shard-then-insertion
-  /// order within a shard is unspecified; callers needing determinism sort.
-  void for_each(const std::function<void(graph::TermId, std::string_view,
-                                         const FeatureValue&)>& fn) const;
 
   /// Modeled bytes of one feature value, for cache/communication costing.
   static std::size_t value_bytes(const FeatureValue& v);

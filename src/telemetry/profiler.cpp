@@ -11,26 +11,6 @@
 
 namespace ids::telemetry {
 
-// Per-thread shadow stack. The owning thread pushes/pops under `mutex`;
-// the sampler copies the frame array out under the same mutex, so a
-// sample never observes a half-written stack. `depth` keeps counting
-// past kMaxProfileDepth (frames beyond the cap are not stored) so pops
-// stay balanced no matter how deep the code recursed.
-struct ProfileThreadStack {
-  mutable Mutex mutex;
-  std::array<const char*, kMaxProfileDepth> frames IDS_GUARDED_BY(mutex) = {};
-  std::size_t depth IDS_GUARDED_BY(mutex) = 0;
-};
-
-namespace {
-
-// One slot per thread binding it to its shadow stack in the global
-// profiler. Never reset: the stack object lives as long as the (leaked)
-// profiler singleton. lint:allow-global: thread-local registration slot.
-thread_local ProfileThreadStack* t_profile_stack = nullptr;
-
-}  // namespace
-
 Profiler& Profiler::global() {
   // Leaked on purpose: worker threads may still pop frames during static
   // destruction. lint:allow-global: process-wide singleton by design.
@@ -40,29 +20,10 @@ Profiler& Profiler::global() {
 
 ProfileThreadStack* Profiler::register_thread() {
   auto stack = std::make_unique<ProfileThreadStack>();
-  ProfileThreadStack* raw = stack.get();
+  internal::t_profile_stack = stack.get();
   MutexLock lock(data_mutex_);
   stacks_.push_back(std::move(stack));
-  return raw;
-}
-
-void Profiler::push_frame(const char* name) {
-  ProfileThreadStack* stack = t_profile_stack;
-  if (stack == nullptr) {
-    stack = register_thread();
-    t_profile_stack = stack;
-  }
-  MutexLock lock(stack->mutex);
-  if (stack->depth < kMaxProfileDepth) stack->frames[stack->depth] = name;
-  ++stack->depth;
-}
-
-void Profiler::pop_frame() {
-  ProfileThreadStack* stack = t_profile_stack;
-  IDS_CHECK(stack != nullptr);  // pop without a matching push
-  MutexLock lock(stack->mutex);
-  IDS_CHECK(stack->depth > 0);
-  --stack->depth;
+  return internal::t_profile_stack;
 }
 
 void Profiler::sample_once() {
@@ -71,14 +32,24 @@ void Profiler::sample_once() {
   std::string path;
   std::array<const char*, kMaxProfileDepth> frames;
   for (const auto& stack : stacks_) {
-    std::size_t depth;
-    bool truncated;
-    {
-      MutexLock stack_lock(stack->mutex);
-      depth = std::min(stack->depth, kMaxProfileDepth);
-      truncated = stack->depth > kMaxProfileDepth;
-      std::copy_n(stack->frames.begin(), depth, frames.begin());
+    // Seqlock read: retry while the owner is mid-write (odd) or wrote
+    // during the copy (moved).
+    std::size_t full_depth = 0;
+    for (;;) {
+      const std::uint64_t seq = stack->seq.load(std::memory_order_acquire);
+      if ((seq & 1) != 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      full_depth = stack->depth.load(std::memory_order_acquire);
+      const std::size_t n = std::min(full_depth, kMaxProfileDepth);
+      for (std::size_t i = 0; i < n; ++i) {
+        frames[i] = stack->frames[i].load(std::memory_order_acquire);
+      }
+      if (stack->seq.load(std::memory_order_relaxed) == seq) break;
     }
+    const std::size_t depth = std::min(full_depth, kMaxProfileDepth);
+    const bool truncated = full_depth > kMaxProfileDepth;
     if (depth == 0) continue;  // idle thread: contributes no sample
     path.clear();
     for (std::size_t i = 0; i < depth; ++i) {

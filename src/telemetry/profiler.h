@@ -6,17 +6,18 @@
 // ProfileScope frames onto a per-thread shadow stack, and a background
 // sampler thread walks every registered shadow stack at a configurable
 // rate, aggregating the frame paths it sees into collapsed-stack
-// ("folded") counts. Because both sides use ordinary ids::Mutex
-// critical sections — no signals, no asynchronous stack unwinding —
-// the profiler is clean under ASan and TSan and safe to leave compiled
-// into every build.
+// ("folded") counts. Only the owning thread writes its stack, under a
+// seqlock of atomics, so the mutator never locks and the sampler never
+// sees a half-written stack — no signals, no asynchronous stack
+// unwinding, clean under ASan and TSan and safe to leave compiled into
+// every build.
 //
 //   ProfileScope s("engine.scan");   // push; pops on scope exit
 //
 // Scope names must be string literals (or otherwise outlive the
-// profiler): the shadow stack stores `const char*` so pushing is two
-// stores, never an allocation. Threads register lazily on their first
-// push and are never unregistered — thread-pool workers are immortal
+// profiler): the shadow stack stores `const char*` so a push is a few
+// inline stores, never an allocation. Threads register lazily on their
+// first push and are never unregistered — thread-pool workers are immortal
 // in this codebase, and an exited thread's stack simply sits at depth
 // zero, which the sampler skips (idle threads contribute no samples,
 // so every sample lands in a named scope).
@@ -30,9 +31,10 @@
 //
 // The sampler thread is paced by CondVar::wait_for (tools/lint.sh bans
 // raw sleep_for in src/), so stop() interrupts a tick immediately.
-// Lock order: control_mutex_ -> data_mutex_ -> per-thread stack mutex;
-// no callback ever runs under a profiler lock.
+// Lock order: control_mutex_ -> tick_mutex_; no callback ever runs under
+// a profiler lock.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -42,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/thread_annotations.h"
 
 namespace ids::telemetry {
@@ -50,7 +53,50 @@ namespace ids::telemetry {
 /// the sample path gains a trailing "[truncated]" frame instead.
 inline constexpr std::size_t kMaxProfileDepth = 32;
 
-struct ProfileThreadStack;  // defined in profiler.cpp
+/// One thread's shadow stack, written only by that thread. The owner
+/// makes `seq` odd before each push or pop and even after it; the sampler
+/// copies the stack and retries while `seq` is odd or has moved (a
+/// seqlock). The data stores are releases and the sampler's data loads
+/// acquires, so a copy that saw any of a write's data also sees `seq`
+/// moved; no standalone fence (which TSan cannot model) is needed, and
+/// on x86 every access is a plain move. `depth` keeps counting past
+/// kMaxProfileDepth (frames beyond the cap are not stored) so pops stay
+/// balanced no matter how deep the code recursed.
+struct ProfileThreadStack {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::size_t> depth{0};
+  std::array<std::atomic<const char*>, kMaxProfileDepth> frames{};
+
+  void push(const char* name) {
+    const std::uint64_t s = begin_write();
+    const std::size_t d = depth.load(std::memory_order_relaxed);
+    if (d < kMaxProfileDepth) frames[d].store(name, std::memory_order_release);
+    depth.store(d + 1, std::memory_order_release);
+    seq.store(s + 2, std::memory_order_release);
+  }
+  void pop() {
+    const std::uint64_t s = begin_write();
+    const std::size_t d = depth.load(std::memory_order_relaxed);
+    IDS_CHECK(d > 0);  // pop without a matching push
+    depth.store(d - 1, std::memory_order_release);
+    seq.store(s + 2, std::memory_order_release);
+  }
+
+ private:
+  /// Marks the stack mid-write (odd) and returns the even sequence before.
+  std::uint64_t begin_write() {
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);
+    return s;
+  }
+};
+
+namespace internal {
+/// The calling thread's shadow stack in the global profiler; null until
+/// its first enabled scope. Never reset: the stack lives as long as the
+/// (leaked) profiler singleton.
+inline thread_local ProfileThreadStack* t_profile_stack = nullptr;
+}  // namespace internal
 
 /// Process-wide sampling profiler. A singleton by design: ProfileScope
 /// binds the global instance through one thread-local slot, so a second
@@ -108,9 +154,12 @@ class Profiler {
   std::string to_json_top(std::size_t top_n = 20) const
       IDS_EXCLUDES(data_mutex_);
 
-  // ProfileScope internals -- not for direct use.
-  void push_frame(const char* name);
-  void pop_frame();
+  /// The calling thread's shadow stack, registered on first use
+  /// (ProfileScope internals -- not for direct use).
+  ProfileThreadStack* thread_stack() {
+    ProfileThreadStack* stack = internal::t_profile_stack;
+    return stack != nullptr ? stack : register_thread();
+  }
 
  private:
   Profiler() = default;
@@ -124,8 +173,8 @@ class Profiler {
 
   std::atomic<bool> enabled_{false};
 
-  // Lock order: control_mutex_ -> tick_mutex_; data_mutex_ and the
-  // per-thread stack mutexes are only ever taken with neither held.
+  // Lock order: control_mutex_ -> tick_mutex_; data_mutex_ is only ever
+  // taken with neither held.
   mutable Mutex control_mutex_;
   std::thread sampler_ IDS_GUARDED_BY(control_mutex_);
 
@@ -152,19 +201,20 @@ class ProfileScope {
   explicit ProfileScope(const char* name) {
     Profiler& p = Profiler::global();
     if (p.enabled()) {
-      p.push_frame(name);
-      pushed_ = true;  // pop exactly what we pushed, even if disabled later
+      // Pop exactly what we pushed, even if disabled later.
+      stack_ = p.thread_stack();
+      stack_->push(name);
     }
   }
   ~ProfileScope() {
-    if (pushed_) Profiler::global().pop_frame();
+    if (stack_ != nullptr) stack_->pop();
   }
 
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
  private:
-  bool pushed_ = false;
+  ProfileThreadStack* stack_ = nullptr;
 };
 
 }  // namespace ids::telemetry

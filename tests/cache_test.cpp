@@ -1,6 +1,6 @@
 // Global multi-tier cache tests: tier hit paths and their cost ordering,
-// LRU + spill, locality queries, placement hints, node failure and
-// repopulation, write-through semantics, and statistics.
+// modeled sizes, LRU + spill, locality queries, placement hints, node
+// failure and repopulation, write-through semantics, and statistics.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +20,6 @@ CacheConfig small_config() {
   return c;
 }
 
-std::string blob(std::size_t n, char fill = 'a') { return std::string(n, fill); }
-
 TEST(ObjectIdTest, StableAndDistinct) {
   EXPECT_EQ(object_id("vina/P29274/CCN"), object_id("vina/P29274/CCN"));
   EXPECT_NE(object_id("a"), object_id("b"));
@@ -30,17 +28,19 @@ TEST(ObjectIdTest, StableAndDistinct) {
 TEST(Cache, PutThenLocalGetHitsLocalDram) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
-  cache.put(clock, 0, "obj", blob(100));
+  cache.put(clock, 0, "obj", "v", 100);
   auto got = cache.get(clock, 0, "obj");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->size(), 100u);
+  EXPECT_EQ(got->value, "v");
+  EXPECT_EQ(got->tier, ReadTier::kLocalDram);
+  EXPECT_EQ(got->size, 100u);
   EXPECT_EQ(cache.stats().hits_local_dram, 1u);
 }
 
 TEST(Cache, RemoteGetHitsRemoteDramAndCostsMore) {
   CacheManager cache(small_config());
   sim::VirtualClock w;
-  cache.put(w, 0, "obj", blob(400));
+  cache.put(w, 0, "obj", "v", 400);
 
   sim::VirtualClock local;
   sim::VirtualClock remote;
@@ -54,11 +54,11 @@ TEST(Cache, RemoteGetHitsRemoteDramAndCostsMore) {
 TEST(Cache, DramEvictionSpillsToSsdLru) {
   CacheManager cache(small_config());  // 1000 B DRAM per node
   sim::VirtualClock clock;
-  cache.put(clock, 0, "a", blob(400));
-  cache.put(clock, 0, "b", blob(400));
+  cache.put(clock, 0, "a", "v", 400);
+  cache.put(clock, 0, "b", "v", 400);
   // Touch "a" so "b" is the LRU victim.
   ASSERT_TRUE(cache.get(clock, 0, "a").has_value());
-  cache.put(clock, 0, "c", blob(400));  // evicts b -> SSD
+  cache.put(clock, 0, "c", "v", 400);  // evicts b -> SSD
 
   EXPECT_EQ(cache.stats().spills_to_ssd, 1u);
   auto locs = cache.locations("b");
@@ -75,8 +75,8 @@ TEST(Cache, SsdDisabledDropsOnEviction) {
   cfg.enable_ssd = false;
   CacheManager cache(cfg);
   sim::VirtualClock clock;
-  cache.put(clock, 0, "a", blob(600));
-  cache.put(clock, 0, "b", blob(600));  // evicts a, which is simply dropped
+  cache.put(clock, 0, "a", "v", 600);
+  cache.put(clock, 0, "b", "v", 600);  // evicts a, which is simply dropped
   EXPECT_EQ(cache.stats().spills_to_ssd, 0u);
   EXPECT_TRUE(cache.locations("a").empty());
   // Only the backing store still holds "a".
@@ -94,7 +94,7 @@ TEST(Cache, TierCostOrdering) {
   sim::VirtualClock w;
   const std::size_t size = 512 * 1024;
 
-  cache.put(w, 0, "dram_obj", blob(size));
+  cache.put(w, 0, "dram_obj", "v", size);
 
   auto timed_get = [&cache](int node, const std::string& name) {
     sim::VirtualClock c;
@@ -107,8 +107,8 @@ TEST(Cache, TierCostOrdering) {
   EXPECT_LT(local_dram, remote_dram);
 
   // Force a spill to SSD by filling node 0's DRAM.
-  cache.put(w, 0, "filler1", blob(512 * 1024));
-  cache.put(w, 0, "filler2", blob(512 * 1024));
+  cache.put(w, 0, "filler1", "v", 512 * 1024);
+  cache.put(w, 0, "filler2", "v", 512 * 1024);
   auto locs = cache.locations("dram_obj");
   ASSERT_FALSE(locs.empty());
   ASSERT_EQ(locs[0].tier, TierKind::kSsd);
@@ -119,7 +119,7 @@ TEST(Cache, TierCostOrdering) {
 TEST(Cache, BackingStoreServesAfterAllCopiesLost) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
-  cache.put(clock, 0, "persist", blob(200));
+  cache.put(clock, 0, "persist", "v", 200);
   cache.fail_node(0);
   EXPECT_TRUE(cache.locations("persist").empty());
 
@@ -138,12 +138,32 @@ TEST(Cache, BackingStoreServesAfterAllCopiesLost) {
   EXPECT_EQ(cache.stats().hits_local_dram, 1u);
 }
 
+// A put hinted to another node pays for moving the copy there: the FAM
+// write crosses the fabric from the writer instead of staying on the
+// target node. Everything else the two puts charge is the same.
+TEST(Cache, HintedPutPaysForMovingTheCopy) {
+  CacheConfig cfg = small_config();
+  cfg.dram_capacity_bytes = 1 << 20;
+  constexpr std::uint64_t kSize = 50'000;
+  CacheManager unhinted_cache(cfg);
+  CacheManager hinted_cache(cfg);
+  sim::VirtualClock unhinted;
+  sim::VirtualClock hinted;
+  unhinted_cache.put(unhinted, 0, "obj", "v", kSize);
+  PlacementHint hint;
+  hint.target_node = 3;
+  hinted_cache.put(hinted, 0, "obj", "v", kSize, hint);
+  EXPECT_EQ(hinted.now() - unhinted.now(),
+            cfg.fabric.inter_node.transfer_cost(kSize) -
+                cfg.fabric.intra_node.transfer_cost(kSize));
+}
+
 TEST(Cache, PlacementHintPinsNode) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
   PlacementHint hint;
   hint.target_node = 3;
-  cache.put(clock, 0, "pinned", blob(100), hint);
+  cache.put(clock, 0, "pinned", "v", 100, hint);
   auto locs = cache.locations("pinned");
   ASSERT_EQ(locs.size(), 1u);
   EXPECT_EQ(locs[0].node, 3);
@@ -152,7 +172,7 @@ TEST(Cache, PlacementHintPinsNode) {
 TEST(Cache, LocalityQueryPrefersLocalThenRemoteDram) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
-  cache.put(clock, 1, "obj", blob(100));
+  cache.put(clock, 1, "obj", "v", 100);
   EXPECT_EQ(cache.nearest_node_with("obj", 1), 1);
   EXPECT_EQ(cache.nearest_node_with("obj", 0), 1);
   EXPECT_EQ(cache.nearest_node_with("missing", 0), -1);
@@ -161,28 +181,85 @@ TEST(Cache, LocalityQueryPrefersLocalThenRemoteDram) {
 TEST(Cache, OverwriteReplacesPayload) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
-  cache.put(clock, 0, "v", "first");
-  cache.put(clock, 0, "v", "second-version");
+  cache.put(clock, 0, "v", "first", 5);
+  cache.put(clock, 0, "v", "second-version", 14);
   auto got = cache.get(clock, 0, "v");
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "second-version");
+  EXPECT_EQ(got->value, "second-version");
   EXPECT_EQ(cache.num_objects(), 1u);
 }
 
 TEST(Cache, ObjectBiggerThanDramGoesToSsd) {
   CacheManager cache(small_config());  // DRAM 1000, SSD 4000
   sim::VirtualClock clock;
-  cache.put(clock, 0, "big", blob(2000));
+  cache.put(clock, 0, "big", "v", 2000);
   auto locs = cache.locations("big");
   ASSERT_EQ(locs.size(), 1u);
   EXPECT_EQ(locs[0].tier, TierKind::kSsd);
   ASSERT_TRUE(cache.get(clock, 0, "big").has_value());
 }
 
+// A short value stored with modeled size N is charged and counted exactly
+// like an N-byte value at every tier, and each get reports its tier and N.
+TEST(Cache, ModeledSizeIsChargedAtEveryTier) {
+  constexpr std::uint64_t kSize = 50'000;
+  CacheConfig cfg = small_config();
+  cfg.dram_capacity_bytes = kSize + kSize / 2;  // one object per node
+  cfg.ssd_capacity_bytes = 1 << 20;
+
+  struct Read {
+    ReadTier tier;
+    std::uint64_t size;
+    sim::Nanos charged;
+  };
+  // Reaches every tier, reading "a" from node 0 (its writer) and node 1.
+  auto drive = [&](const std::string& value) {
+    CacheManager cache(cfg);
+    sim::VirtualClock w;
+    std::vector<Read> reads;
+    auto read = [&](int node) {
+      sim::VirtualClock c;
+      auto got = cache.get(c, node, "a");
+      EXPECT_TRUE(got.has_value());
+      if (got) {
+        EXPECT_EQ(got->value, value);
+        reads.push_back({got->tier, got->size, c.now()});
+      }
+    };
+    cache.put(w, 0, "a", value, kSize);
+    read(0);                             // local DRAM
+    read(1);                             // remote DRAM
+    cache.put(w, 0, "b", value, kSize);  // spills "a" to node 0's SSD
+    read(0);                             // local SSD
+    read(1);                             // remote SSD
+    cache.fail_node(0);
+    read(1);                             // backing store
+    const CacheStats st = cache.stats();
+    EXPECT_EQ(st.bytes_read, 5 * kSize);
+    EXPECT_EQ(st.bytes_written, 2 * kSize);
+    EXPECT_EQ(st.spills_to_ssd, 1u);
+    return std::make_pair(reads, w.now());
+  };
+
+  const auto [reads, put_clock] = drive("-7.2999999999999998");
+  const std::vector<ReadTier> tiers = {
+      ReadTier::kLocalDram, ReadTier::kRemoteDram, ReadTier::kLocalSsd,
+      ReadTier::kRemoteSsd, ReadTier::kBacking};
+  ASSERT_EQ(reads.size(), tiers.size());
+  const auto [full_reads, full_put_clock] = drive(std::string(kSize, 'x'));
+  ASSERT_EQ(full_reads.size(), tiers.size());
+  EXPECT_EQ(put_clock, full_put_clock);
+  for (std::size_t i = 0; i < tiers.size(); ++i) {
+    EXPECT_EQ(reads[i].tier, tiers[i]) << i;
+    EXPECT_EQ(reads[i].size, kSize) << i;
+    EXPECT_EQ(reads[i].charged, full_reads[i].charged) << i;
+  }
+}
+
 TEST(Cache, StatsBytesAccounting) {
   CacheManager cache(small_config());
   sim::VirtualClock clock;
-  cache.put(clock, 0, "x", blob(300));
+  cache.put(clock, 0, "x", "v", 300);
   cache.get(clock, 0, "x");
   EXPECT_EQ(cache.stats().bytes_written, 300u);
   EXPECT_EQ(cache.stats().bytes_read, 300u);
@@ -202,17 +279,17 @@ TEST(Cache, SerializationServiceChargesPerOp) {
   cfg.serialization_service_seconds = 0.25;
   CacheManager cache(cfg);
   sim::VirtualClock clock;
-  cache.put(clock, 0, "obj", blob(100));
+  cache.put(clock, 0, "obj", "v", 100);
   sim::Nanos after_put = clock.now();
   EXPECT_GE(after_put, sim::from_seconds(0.25));
   ASSERT_TRUE(cache.get(clock, 0, "obj").has_value());
   EXPECT_GE(clock.now(), after_put + sim::from_seconds(0.25));
 }
 
-// The query account's cache hits and misses are *derived* from the same
-// registry counters the cache manager records (telemetry equivalence):
-// summed over a cold and a warm run of the same cached INVOKE, they must
-// account for every counter increment exactly — no parallel bookkeeping.
+// The query account counts the query's own cache reads, as get() reports
+// them. With one client on the cache, a cold and a warm run of the same
+// cached INVOKE must together account for every increment of the cache's
+// registry counters exactly.
 TEST(CacheEngineEquivalence, AccountCountersMatchRegistry) {
   telemetry::MetricsRegistry reg;
   CacheConfig cc;
@@ -282,7 +359,7 @@ TEST(CacheEngineEquivalence, AccountCountersMatchRegistry) {
 
 // The serialization floor of a cached INVOKE counts the stage's own cache
 // operations, one get per row, so another client's cache traffic during
-// the stage must leave the query's modeled time alone. The UDF body stands
+// the stage must leave the query's modeled time and its account alone. The UDF body stands
 // in for that client: each call also reads an unrelated key on a clock of
 // its own.
 TEST(CacheEngineEquivalence, SerializationFloorIgnoresOtherClientsTraffic) {
@@ -333,6 +410,10 @@ TEST(CacheEngineEquivalence, SerializationFloorIgnoresOtherClientsTraffic) {
     EXPECT_EQ(r.account.udf_invocations, std::uint64_t{kRows});
     EXPECT_EQ(cache.stats().misses,
               static_cast<std::uint64_t>(other_client ? 2 * kRows : kRows));
+    // The account counts only this query's own reads and puts.
+    EXPECT_EQ(r.account.cache_misses, std::uint64_t{kRows});
+    EXPECT_EQ(r.account.cache_hits(), 0u);
+    EXPECT_EQ(r.account.cache_bytes_written, std::uint64_t{kRows} * 64);
     return r.stage_seconds("invoke:model");
   };
   const double alone = invoke_seconds(false);

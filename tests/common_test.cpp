@@ -168,18 +168,6 @@ TEST(Stats, RunningStatsToString) {
   EXPECT_EQ(r.to_string(), "n=2 mean=2 min=1 max=3 sd=1.41421");
 }
 
-TEST(Logging, ShouldLogEveryNFiresOnMultiples) {
-  std::atomic<std::uint64_t> counter{0};
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (internal::should_log_every_n(&counter, 4)) ++fired;
-  }
-  EXPECT_EQ(fired, 3);  // calls 0, 4, 8
-  std::atomic<std::uint64_t> every1{0};
-  EXPECT_TRUE(internal::should_log_every_n(&every1, 1));
-  EXPECT_TRUE(internal::should_log_every_n(&every1, 0));
-}
-
 TEST(Result, OkAndErrorPaths) {
   Result<int> ok(42);
   EXPECT_TRUE(ok.ok());

@@ -65,8 +65,8 @@ TEST(ConcurrencyStress, CacheManagerGetPutEvictAcrossTiers) {
       std::string name = "obj/" + std::to_string(obj);
       switch (rng.next_below(4)) {
         case 0:
-          cache.put(clock, node, name,
-                    std::string(512 + 16 * static_cast<std::size_t>(obj), 'x'));
+          cache.put(clock, node, name, name,
+                    512 + 16 * static_cast<std::uint64_t>(obj));
           break;
         case 1:
           (void)cache.locations(name);
@@ -77,8 +77,10 @@ TEST(ConcurrencyStress, CacheManagerGetPutEvictAcrossTiers) {
         default: {
           auto hit = cache.get(clock, node, name);
           if (hit) {
-            // Payload integrity: size is a pure function of the object id.
-            EXPECT_EQ(hit->size(), 512 + 16 * static_cast<std::size_t>(obj));
+            // Object integrity: the value is the name, and the modeled
+            // size is a pure function of the object id.
+            EXPECT_EQ(hit->value, name);
+            EXPECT_EQ(hit->size, 512 + 16 * static_cast<std::uint64_t>(obj));
           }
           break;
         }
@@ -114,12 +116,13 @@ TEST(ConcurrencyStress, CacheManagerNodeFailureDuringTraffic) {
     int node = t % cfg.num_nodes;
     for (int i = 0; !stop.load() && i < 2000; ++i) {
       std::string name = "f/" + std::to_string(i % 8);
-      cache.put(clock, node, name, "payload-" + std::to_string(i % 8));
+      const std::string value = "payload-" + std::to_string(i % 8);
+      cache.put(clock, node, name, value, value.size());
       auto hit = cache.get(clock, node, name);
       // Write-through means a name we just put can never fully miss, even
       // if the owning node was failed in between: backing store survives.
       ASSERT_TRUE(hit.has_value());
-      EXPECT_EQ(hit->rfind("payload-", 0), 0u);
+      EXPECT_EQ(hit->value.rfind("payload-", 0), 0u);
     }
   });
   failer.join();
@@ -325,11 +328,11 @@ TEST(ConcurrencyStress, ThreadPoolNestedUseAndReuse) {
 
 TEST(ConcurrencyStress, SharedCacheLeavesEachQueryClockAlone) {
   // Two clients run cold cached INVOKE queries through their own engines
-  // over one cache, on distinct key prefixes. A query's modeled time may
-  // depend only on its own work, so each must cost exactly what it costs
-  // alone on a fresh cache, however the two clients interleave. The §8
-  // service time makes the serialization floor bind, so a floor that
-  // counted the other client's operations would show.
+  // over one cache, on distinct key prefixes. A query's modeled time and
+  // its cache account may depend only on its own work, so each must match
+  // the same query run alone on a fresh cache, however the two clients
+  // interleave. The §8 service time makes the serialization floor bind,
+  // so a floor that counted the other client's operations would show.
   constexpr int kRanks = 4;
   constexpr int kClients = 2;
   constexpr int kQueries = 10;
@@ -378,8 +381,22 @@ TEST(ConcurrencyStress, SharedCacheLeavesEachQueryClockAlone) {
     return eng;
   };
 
+  // What a query's result says about its own work: the INVOKE stage's
+  // modeled seconds and its cache account.
+  struct Own {
+    double seconds;
+    std::uint64_t misses;
+    std::uint64_t hits;
+    std::uint64_t bytes_written;
+    bool operator==(const Own&) const = default;
+  };
+  auto own = [](const core::QueryResult& r) {
+    return Own{r.stage_seconds("invoke:"), r.account.cache_misses,
+               r.account.cache_hits(), r.account.cache_bytes_written};
+  };
+
   cache::CacheManager shared(cc);
-  std::vector<std::vector<double>> seconds(kClients);
+  std::vector<std::vector<Own>> seen(kClients);
   std::vector<std::thread> clients;
   std::atomic<int> ready{0};
   for (int c = 0; c < kClients; ++c) {
@@ -389,8 +406,8 @@ TEST(ConcurrencyStress, SharedCacheLeavesEachQueryClockAlone) {
       ready.fetch_add(1);
       while (ready.load() < kClients) std::this_thread::yield();
       for (int i = 0; i < kQueries; ++i) {
-        seconds[static_cast<std::size_t>(c)].push_back(
-            eng->execute(query(c, i)).stage_seconds("invoke:"));
+        seen[static_cast<std::size_t>(c)].push_back(
+            own(eng->execute(query(c, i))));
       }
     });
   }
@@ -400,10 +417,9 @@ TEST(ConcurrencyStress, SharedCacheLeavesEachQueryClockAlone) {
   for (int c = 0; c < kClients; ++c) {
     for (int i = 0; i < kQueries; ++i) {
       cache::CacheManager fresh(cc);
-      const double alone =
-          engine(&fresh)->execute(query(c, i)).stage_seconds("invoke:");
-      if (seconds[static_cast<std::size_t>(c)]
-                 [static_cast<std::size_t>(i)] != alone) {
+      const Own alone = own(engine(&fresh)->execute(query(c, i)));
+      if (seen[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)] !=
+          alone) {
         ++differing;
       }
     }

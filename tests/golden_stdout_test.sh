@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Runs a bench binary and diffs its stdout against a committed golden file:
-# the modeled tables a bench prints must stay byte-identical unless a
-# change deliberately moves the model. Regenerate a golden with
+# Runs a bench or example binary and diffs its stdout against a committed
+# golden file: the modeled tables it prints must stay byte-identical unless
+# a change deliberately moves the model. Regenerate a golden with
 #   build/bench/<bench> > tests/golden/<bench>.stdout
+#   (build/examples/<example> for an example)
 #
-# Usage: tests/golden_stdout_test.sh <bench binary> <golden file>
+# Usage: tests/golden_stdout_test.sh <binary> <golden file>
 
 set -euo pipefail
 

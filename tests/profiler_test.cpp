@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +132,68 @@ TEST_F(ProfilerTest, SamplesWorkerThreadStacks) {
 
   EXPECT_EQ(p.to_folded(), "worker.busy 1\n");
   EXPECT_EQ(p.samples_total(), 1u);
+}
+
+// The sampler copies a stack while its owner keeps pushing and popping
+// two branches, so a torn copy would mix them ("a;b1;c2"). Every sampled
+// path must be one the worker really had on its stack.
+TEST_F(ProfilerTest, SamplesNeverSeeAHalfWrittenStack) {
+  Profiler& p = Profiler::global();
+  std::atomic<bool> started{false};
+  std::atomic<bool> stop{false};
+  std::thread worker([&] {
+    // A little work in every scope, as around real work: a copy succeeds
+    // only while the stack rests, so empty scopes would leave the sampler
+    // only the moments between iterations, at depth 0.
+    std::atomic<std::uint64_t> work{0};
+    auto busy = [&work] {
+      for (int k = 0; k < 64; ++k) work.fetch_add(1, std::memory_order_relaxed);
+    };
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      ProfileScope a("a");
+      started.store(true, std::memory_order_relaxed);
+      busy();
+      if (i % 2 == 0) {
+        ProfileScope b("b1");
+        busy();
+        ProfileScope c("c1");
+        busy();
+      } else {
+        ProfileScope b("b2");
+        busy();
+        ProfileScope c("c2");
+        busy();
+      }
+    }
+  });
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+  for (int i = 0; i < 2000; ++i) p.sample_once();
+  stop.store(true, std::memory_order_relaxed);
+  worker.join();
+
+  const std::set<std::string> valid = {"a", "a;b1", "a;b1;c1", "a;b2",
+                                       "a;b2;c2"};
+  std::istringstream folded(p.to_folded());
+  std::string line;
+  while (std::getline(folded, line)) {
+    EXPECT_TRUE(valid.contains(line.substr(0, line.rfind(' ')))) << line;
+  }
+  EXPECT_GT(p.samples_total(), 0u);
+}
+
+// A sample that starts while the owner is mid-write (odd sequence) waits
+// for the write to finish and records only the finished stack.
+TEST_F(ProfilerTest, SampleWaitsOutAWriteInProgress) {
+  Profiler& p = Profiler::global();
+  ProfileScope s("before");
+  ProfileThreadStack& stack = *p.thread_stack();
+  stack.seq.fetch_add(1);  // opens a write by hand, as push and pop do
+  std::thread sampler([&p] { p.sample_once(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stack.frames[0].store("after", std::memory_order_release);
+  stack.seq.fetch_add(1, std::memory_order_release);  // closes it
+  sampler.join();
+  EXPECT_EQ(p.to_folded(), "after 1\n");
 }
 
 TEST_F(ProfilerTest, JsonTopSelfAndTotalCounts) {

@@ -360,7 +360,7 @@ TEST(Metrics, CacheTierCountersOnPrivateRegistry) {
   cc.name = "t";
   cache::CacheManager cache(cc);
   sim::VirtualClock clock;
-  cache.put(clock, 0, "obj", std::string(100, 'a'));
+  cache.put(clock, 0, "obj", "v", 100);
   ASSERT_TRUE(cache.get(clock, 0, "obj").has_value());
   EXPECT_EQ(reg.counter("ids_cache_hits_total",
                         {{"cache", "t"}, {"tier", "local_dram"}})
