@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "algo/graph_algorithms.h"
 #include "cache/manager.h"
 #include "common/flat_map.h"
 #include "common/rng.h"
@@ -222,49 +221,6 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1);
-
-// "v<i>", built by appending: GCC 12 reports a false -Wrestrict on
-// inlined "literal" + std::string chains.
-std::string vertex_name(std::uint64_t i) {
-  std::string s = "v";
-  s += std::to_string(i);
-  return s;
-}
-
-void BM_PageRank(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  graph::TripleStore store(8);
-  Rng rng(10);
-  for (int i = 0; i < n * 4; ++i) {
-    store.add(vertex_name(rng.next_below(n)), "edge",
-              vertex_name(rng.next_below(n)));
-  }
-  store.finalize();
-  runtime::Topology topo = runtime::Topology::laptop(8);
-  for (auto _ : state) {
-    algo::PageRankOptions opts;
-    opts.max_iterations = 10;
-    benchmark::DoNotOptimize(algo::pagerank(store, topo, graph::kInvalidTerm,
-                                            opts));
-  }
-  state.counters["edges"] = n * 4;
-}
-BENCHMARK(BM_PageRank)->Arg(500)->Arg(5000);
-
-void BM_ConnectedComponents(benchmark::State& state) {
-  graph::TripleStore store(8);
-  Rng rng(11);
-  for (int i = 0; i < 4000; ++i) {
-    store.add(vertex_name(rng.next_below(1000)), "edge",
-              vertex_name(rng.next_below(1000)));
-  }
-  store.finalize();
-  runtime::Topology topo = runtime::Topology::laptop(8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::connected_components(store, topo));
-  }
-}
-BENCHMARK(BM_ConnectedComponents);
 
 void BM_MutateSequence(benchmark::State& state) {
   Rng rng(9);

@@ -54,16 +54,6 @@ CacheManager::CacheManager(CacheConfig config)
   tele_.ssd_drops = cache_counter("ids_cache_ssd_drops_total");
   tele_.bytes_read = cache_counter("ids_cache_read_bytes_total");
   tele_.bytes_written = cache_counter("ids_cache_written_bytes_total");
-
-  fam::FamOptions fam_opts;
-  fam_opts.server_nodes.resize(static_cast<std::size_t>(config_.num_nodes));
-  for (int i = 0; i < config_.num_nodes; ++i) {
-    fam_opts.server_nodes[static_cast<std::size_t>(i)] = i;
-  }
-  fam_opts.server_capacity_bytes = config_.dram_capacity_bytes;
-  fam_opts.fabric = config_.fabric;
-  fam_opts.metrics = config_.metrics;
-  fam_ = std::make_unique<fam::FamService>(std::move(fam_opts));
 }
 
 CacheStats CacheManager::counters_snapshot() const {
@@ -95,10 +85,6 @@ void CacheManager::reset_stats() {
   baseline_ = counters_snapshot();
 }
 
-std::string CacheManager::fam_name(ObjectId id, int node) {
-  return "cache/" + std::to_string(id.value) + "/" + std::to_string(node);
-}
-
 void CacheManager::charge_serialization(sim::VirtualClock& clock) {
   if (config_.serialization_service_seconds <= 0.0) return;
   // Per-operation (de)serialization latency on the caller. The *shared-
@@ -115,6 +101,15 @@ void CacheManager::charge_directory_lookup(sim::VirtualClock& clock, int node,
   if (directory_node(id) == node) return;
   // Small-message metadata round trip over the fabric.
   clock.advance(config_.fabric.inter_node.transfer_cost(64) * 2);
+}
+
+void CacheManager::charge_fam(sim::VirtualClock& clock, int caller_node,
+                              int owner_node, std::uint64_t size) const {
+  // Node i hosts memory server i, so the link is intra-node exactly when
+  // the caller is the owner.
+  const auto& link = caller_node == owner_node ? config_.fabric.intra_node
+                                               : config_.fabric.inter_node;
+  clock.advance(link.transfer_cost(size));
 }
 
 void CacheManager::touch_dram(int node, ObjectId id) {
@@ -135,13 +130,6 @@ void CacheManager::touch_ssd(int node, ObjectId id) {
   it->second = ns.ssd_lru.begin();
 }
 
-bool CacheManager::read_dram_copy(sim::VirtualClock& clock, int reader_node,
-                                  int owner_node, const Meta& meta) const {
-  auto desc = fam_->lookup(fam_name(object_id(meta.name), owner_node));
-  if (!desc.ok()) return false;
-  return fam_->get(clock, reader_node, desc.value()).ok();
-}
-
 void CacheManager::remove_copy_record(Meta& meta, const Location& loc) {
   meta.copies.erase(std::remove(meta.copies.begin(), meta.copies.end(), loc),
                     meta.copies.end());
@@ -156,9 +144,6 @@ void CacheManager::drop_copy(ObjectId id, Meta& meta, const Location& loc) {
       ns.dram_pos.erase(it);
       ns.dram_used -= meta.size;
     }
-    // The FAM region may already be gone after fail_node(); either way
-    // the copy record is dropped below.
-    IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, loc.node)));
   } else {
     auto it = ns.ssd_pos.find(id);
     if (it != ns.ssd_pos.end()) {
@@ -238,13 +223,7 @@ Status CacheManager::insert_dram(sim::VirtualClock& clock, int writer_node,
          !ns.dram_lru.empty()) {
     RETURN_IF_ERROR(evict_dram_lru(clock, node));
   }
-  auto desc = fam_->allocate(fam_name(id, node), meta.size, node);
-  if (!desc.ok()) return desc.status();
-  Status st = fam_->put(clock, writer_node, desc.value());
-  if (!st.ok()) {
-    IDS_IGNORE_ERROR(fam_->deallocate(fam_name(id, node)));
-    return st;
-  }
+  charge_fam(clock, writer_node, node, meta.size);
   ns.dram_lru.push_front(id);
   ns.dram_pos[id] = ns.dram_lru.begin();
   ns.dram_used += meta.size;
@@ -336,8 +315,8 @@ std::optional<CacheRead> CacheManager::get_locked(sim::VirtualClock& clock,
   };
 
   // 1. Local DRAM.
-  if (has_copy(node, TierKind::kDram) &&
-      read_dram_copy(clock, node, node, meta)) {
+  if (has_copy(node, TierKind::kDram)) {
+    charge_fam(clock, node, node, meta.size);
     touch_dram(node, id);
     return served(meta, ReadTier::kLocalDram);
   }
@@ -360,7 +339,8 @@ std::optional<CacheRead> CacheManager::get_locked(sim::VirtualClock& clock,
       if (remote_ssd < 0 || loc.node < remote_ssd) remote_ssd = loc.node;
     }
   }
-  if (remote_dram >= 0 && read_dram_copy(clock, node, remote_dram, meta)) {
+  if (remote_dram >= 0) {
+    charge_fam(clock, node, remote_dram, meta.size);
     touch_dram(remote_dram, id);
     return served(meta, ReadTier::kRemoteDram);
   }
@@ -416,8 +396,6 @@ int CacheManager::nearest_node_with(std::string_view name,
 void CacheManager::fail_node(int node) {
   MutexLock lock(mutex_);
   // Abrupt loss of the node's fabric-attached DRAM and local SSD.
-  fam_->fail_server(node);
-  fam_->recover_server(node);
   auto& ns = nodes_[static_cast<std::size_t>(node)];
   ns = NodeState{};
   for (auto& [id, meta] : directory_) {

@@ -4,19 +4,20 @@
 //
 // Every cluster node (compute and dedicated memory nodes alike) contributes
 // DRAM and optionally local SSD to a single cluster-wide cache. The DRAM
-// tier is fabric-attached memory served through the OpenFAM layer
-// (src/fam), so remote hits pay real RDMA-modelled costs and locality is a
-// first-class, queryable property. When DRAM fills, least-recently-used
-// objects spill to the owner node's SSD tier; when SSD fills, copies are
-// dropped — authoritative data always remains in the persistent backing
-// store (the DAOS/Lustre stand-in), so a node failure loses only cached
-// copies, never data.
+// tier is fabric-attached memory that the paper reaches through OpenFAM
+// (§3.3); here each DRAM write or read is priced as one OpenFAM transfer
+// between the caller and the owner node's memory server (intra-node when
+// they share a node, fabric otherwise), so remote hits pay RDMA-modelled
+// costs and locality is a first-class, queryable property. When DRAM
+// fills, least-recently-used objects spill to the owner node's SSD tier;
+// when SSD fills, copies are dropped — authoritative data always remains
+// in the persistent backing store (the DAOS/Lustre stand-in), so a node
+// failure loses only cached copies, never data.
 //
 // Each object is stored once: its directory entry holds the value and the
 // artifact's modeled size. Every put writes through, so the directory also
-// indexes the backing store, and the tiers keep records, not bytes: an
-// LRU position per copy and, for a DRAM copy, a FAM region of the modeled
-// length. Every transfer is priced from the modeled size.
+// indexes the backing store, and the tiers keep records, not bytes: one
+// LRU position per copy. Every transfer is priced from the modeled size.
 //
 // Read path (cheapest first): local DRAM -> local SSD -> remote DRAM ->
 // remote SSD -> backing store -> miss (caller recomputes and put()s).
@@ -28,7 +29,6 @@
 #include <array>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,7 +39,6 @@
 #include "cache/stats.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "fam/fam.h"
 #include "sim/fabric.h"
 #include "sim/virtual_clock.h"
 #include "telemetry/metrics.h"
@@ -128,9 +127,9 @@ class CacheManager {
   int nearest_node_with(std::string_view name, int from_node) const
       IDS_EXCLUDES(mutex_);
 
-  /// Drops every cached copy held by `node` (its DRAM region on the FAM
-  /// server and its SSD). Backing-store contents are unaffected; the next
-  /// get() re-populates from backing, which is the paper's recovery story.
+  /// Drops every cached copy held by `node` (its DRAM and its SSD).
+  /// Backing-store contents are unaffected; the next get() re-populates
+  /// from backing, which is the paper's recovery story.
   void fail_node(int node) IDS_EXCLUDES(mutex_);
 
   /// Snapshot of the counters since the last reset_stats(). The live
@@ -163,9 +162,6 @@ class CacheManager {
     std::uint64_t ssd_used = 0;
   };
 
-  /// FAM allocation name for a (object, node) DRAM copy.
-  static std::string fam_name(ObjectId id, int node);
-
   int directory_node(ObjectId id) const {
     return static_cast<int>(id.value % static_cast<std::uint64_t>(config_.num_nodes));
   }
@@ -173,6 +169,11 @@ class CacheManager {
   /// Reads only immutable config, so it needs no lock of its own.
   void charge_directory_lookup(sim::VirtualClock& clock, int node,
                                ObjectId id) const;
+  /// Charges one OpenFAM transfer of `size` bytes between `caller_node`
+  /// and the memory server on `owner_node`: intra-node when they match,
+  /// fabric otherwise. Reads only immutable config.
+  void charge_fam(sim::VirtualClock& clock, int caller_node, int owner_node,
+                  std::uint64_t size) const;
 
   /// Charges the per-artifact (de)serialization latency.
   /// No-op when serialization_service_seconds is 0.
@@ -192,13 +193,11 @@ class CacheManager {
 
   // All helpers below require mutex_ held (machine-checked under Clang).
   // The placement helpers return Status instead of asserting: a directory
-  // entry that went missing or a FAM-side failure is *recoverable* (the
-  // authoritative copy lives in the backing store), so the public
-  // operations degrade to an uncached read/write instead of aborting.
+  // entry that went missing is *recoverable* (the authoritative copy lives
+  // in the backing store), so the public operations degrade to an
+  // uncached read/write instead of aborting.
   void touch_dram(int node, ObjectId id) IDS_REQUIRES(mutex_);
   void touch_ssd(int node, ObjectId id) IDS_REQUIRES(mutex_);
-  bool read_dram_copy(sim::VirtualClock& clock, int reader_node, int owner_node,
-                      const Meta& meta) const IDS_REQUIRES(mutex_);
   /// Places a DRAM copy on `node`; `writer_node` pays the FAM write.
   Status insert_dram(sim::VirtualClock& clock, int writer_node, int node,
                      ObjectId id, Meta& meta) IDS_REQUIRES(mutex_);
@@ -231,9 +230,6 @@ class CacheManager {
 
   CacheConfig config_;
   Telemetry tele_;
-  // Internally synchronized; acquired strictly *after* mutex_ (the FAM
-  // layer never calls back into the cache, so the order cannot invert).
-  std::unique_ptr<fam::FamService> fam_;
   mutable Mutex mutex_;
   std::unordered_map<ObjectId, Meta, ObjectIdHash> directory_
       IDS_GUARDED_BY(mutex_);

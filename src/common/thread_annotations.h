@@ -84,8 +84,8 @@
 
 // --- ids-analyzer contract markers (tools/analyzer, DESIGN.md §8) -----------
 //
-// These two are consumed by the in-tree interprocedural checker, not by
-// Clang: they compile to nothing on every compiler.
+// These markers are consumed by the in-tree interprocedural checker, not
+// by Clang: they compile to nothing on every compiler.
 
 /// Declares that a function may block (sleep, wait, join, file/process
 /// I/O, or a callee that does). Inside the function, [blocking-under-lock]
@@ -98,17 +98,6 @@
 /// timestamps). Suppresses [wallclock-in-engine] for the function.
 #define IDS_WALLCLOCK_OK
 
-/// Waives one declaration from the shared-state certificate
-/// (`ids-analyzer --certify=concurrent-exec`): the annotated member,
-/// static, or global is mutable shared state that is only sound while the
-/// engine serves ONE query at a time (e.g. ingest-time mutation that is
-/// frozen before serving). The reason is an identifier-style tag, e.g.
-/// `IDS_SINGLE_QUERY_ONLY(ingest_mutable_frozen_before_serve)`, and the
-/// set of waivers doubles as the worklist for concurrent query serving
-/// (ROADMAP item 1). Trails the declarator like IDS_GUARDED_BY; expands to
-/// nothing on every compiler.
-#define IDS_SINGLE_QUERY_ONLY(reason)
-
 /// Declares an ingest→freeze→serve epoch for one field: the annotated
 /// member is mutable only until the owning class's named freeze method
 /// (e.g. `IDS_FROZEN_AFTER(finalize)`) has run, and is immutable — hence
@@ -118,9 +107,8 @@
 /// the freeze method itself, or a mutator that checks `!frozen()`), and
 /// no write may be reachable from `IdsEngine::execute`. On the
 /// `--certify=concurrent-exec` ladder these fields land on the
-/// `frozen-after-init` rung instead of needing an IDS_SINGLE_QUERY_ONLY
-/// waiver. Trails the declarator like IDS_GUARDED_BY; expands to nothing
-/// on every compiler.
+/// `frozen-after-init` rung. Trails the declarator like IDS_GUARDED_BY;
+/// expands to nothing on every compiler.
 #define IDS_FROZEN_AFTER(freeze_method)
 
 /// Declares that calling this method may invalidate views (spans,
@@ -130,21 +118,6 @@
 /// TU the analyzer is not given). Trails the declarator, e.g.
 /// `void compact() IDS_INVALIDATES(rows_);`. Expands to nothing.
 #define IDS_INVALIDATES(container)
-
-/// Declares that a mutating method preserves existing views into the
-/// object (deque-style stable storage, arena append, node-based rehash).
-/// The [view-invalidation] summary inference drops the method, so calling
-/// it between a view's derivation and use is not a finding. Expands to
-/// nothing.
-#define IDS_STABLE_STORAGE
-
-/// Audited waiver for the lifetime rule family ([view-invalidation],
-/// [dangling-return], [temporary-bound-view], [task-outlives-capture]):
-/// suppresses those findings inside the annotated function. The reason is
-/// an identifier-style tag recorded in the finding notes, e.g.
-/// `IDS_VIEW_OK(span_rederived_after_every_mutation)`. Trails the
-/// declarator; expands to nothing on every compiler.
-#define IDS_VIEW_OK(reason)
 
 namespace ids {
 

@@ -154,7 +154,7 @@ check "view invalidated through method summary flagged" 1 \
 check "view invalidated by reassignment flagged" 1 \
       "being reassigned" \
       "$fixtures/view_invalidation/bad.cpp"
-check "re-derived / stable-storage views accepted" 0 'ids-analyzer: OK' \
+check "re-derived views accepted" 0 'ids-analyzer: OK' \
       "$fixtures/view_invalidation/good.cpp"
 
 check "returned reference to local flagged" 1 \
@@ -181,7 +181,7 @@ check "unjoined by-ref task capture flagged" 1 \
 check "unjoined this capture flagged" 1 \
       "task-outlives-capture.*'this'" \
       "$fixtures/task_outlives_capture/bad.cpp"
-check "joined / by-value / waived tasks accepted" 0 'ids-analyzer: OK' \
+check "joined / by-value tasks accepted" 0 'ids-analyzer: OK' \
       "$fixtures/task_outlives_capture/good.cpp"
 
 # --- lexer raw strings -------------------------------------------------------
@@ -203,10 +203,7 @@ check "certify flags namespace-scope globals" 1 \
       --certify=concurrent-exec "$fixtures/shared_state/bad.cpp"
 check "shared-state is certify-only" 0 'ids-analyzer: OK' \
       "$fixtures/shared_state/bad.cpp"
-check "certify accepts guarded/atomic/waived engine" 0 'certificate OK' \
-      --certify=concurrent-exec "$fixtures/shared_state/good.cpp"
-check "certify inventory carries the waiver reason" 0 \
-      'fixture_scratch_reuse' \
+check "certify accepts guarded/atomic engine" 0 'certificate OK' \
       --certify=concurrent-exec "$fixtures/shared_state/good.cpp"
 check "certify without engine root is an error" 2 \
       'found no IdsEngine::execute' \

@@ -38,9 +38,25 @@ TEST(Cache, PutThenLocalGetHitsLocalDram) {
 }
 
 TEST(Cache, RemoteGetHitsRemoteDramAndCostsMore) {
-  CacheManager cache(small_config());
+  // Each DRAM write and read is one OpenFAM transfer of the modeled size
+  // between the caller and the owner node's memory server: intra-node for
+  // the owner itself, over the fabric for anyone else.
+  const CacheConfig cfg = small_config();
+  CacheManager cache(cfg);
+  const std::uint64_t size = 400;
+  auto directory = [&cfg](int node) -> sim::Nanos {
+    const auto shard = object_id("obj").value %
+                       static_cast<std::uint64_t>(cfg.num_nodes);
+    return shard == static_cast<std::uint64_t>(node)
+               ? 0
+               : cfg.fabric.inter_node.transfer_cost(64) * 2;
+  };
+
   sim::VirtualClock w;
-  cache.put(w, 0, "obj", "v", 400);
+  cache.put(w, 0, "obj", "v", size);
+  EXPECT_EQ(w.now(), directory(0) +
+                         cfg.fabric.backing_store.transfer_cost(size) +
+                         cfg.fabric.intra_node.transfer_cost(size));
 
   sim::VirtualClock local;
   sim::VirtualClock remote;
@@ -48,6 +64,10 @@ TEST(Cache, RemoteGetHitsRemoteDramAndCostsMore) {
   ASSERT_TRUE(cache.get(remote, 2, "obj").has_value());
   EXPECT_EQ(cache.stats().hits_local_dram, 1u);
   EXPECT_EQ(cache.stats().hits_remote_dram, 1u);
+  EXPECT_EQ(local.now(),
+            directory(0) + cfg.fabric.intra_node.transfer_cost(size));
+  EXPECT_EQ(remote.now(),
+            directory(2) + cfg.fabric.inter_node.transfer_cost(size));
   EXPECT_LT(local.now(), remote.now());
 }
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/graph_algorithms.h"
 #include "core/workflow.h"
 #include "deploy/service.h"
 
@@ -98,31 +97,6 @@ TEST(Integration, TextQueryThroughDeploymentWithCache) {
     if (e.message.find("query done") == 0) saw_query = true;
   }
   EXPECT_TRUE(saw_query);
-}
-
-TEST(Integration, PageRankOverTheWorkflowGraph) {
-  // The graph-analytics leg (§2.2) composes with the workflow data:
-  // PageRank over inhibitor edges surfaces the most-inhibited proteins.
-  constexpr int kRanks = 8;
-  core::NcnprData data = core::build_ncnpr_data(tiny_config(), kRanks);
-  auto inhibits = data.triples->dict().lookup(datagen::Vocab::kInhibits);
-  ASSERT_TRUE(inhibits.has_value());
-  algo::PageRankResult pr = algo::pagerank(
-      *data.triples, runtime::Topology::laptop(kRanks), *inhibits);
-  ASSERT_FALSE(pr.rank.empty());
-  // Proteins (edge targets) accumulate rank; compounds (pure sources) stay
-  // at the teleport floor.
-  double best_protein = 0.0;
-  for (graph::TermId p : data.dataset.proteins) {
-    auto it = pr.rank.find(p);
-    if (it != pr.rank.end()) best_protein = std::max(best_protein, it->second);
-  }
-  double best_compound = 0.0;
-  for (graph::TermId c : data.dataset.compounds) {
-    auto it = pr.rank.find(c);
-    if (it != pr.rank.end()) best_compound = std::max(best_compound, it->second);
-  }
-  EXPECT_GT(best_protein, best_compound * 2);
 }
 
 }  // namespace

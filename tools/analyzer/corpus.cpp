@@ -230,15 +230,12 @@ std::size_t handle_declarator(FileData& f, std::size_t i, std::size_t end,
           } else if (t.text == "IDS_INVALIDATES") {
             fn.invalidates = true;
             fn.invalidates_args = std::move(args);
-          } else if (t.text == "IDS_VIEW_OK") {
-            fn.view_ok = args.empty() ? "unspecified" : args.front();
           }
           p = f.partner[p + 1] + 1;
         } else {
           // Paren-less contract markers (see common/thread_annotations.h).
           if (t.text == "IDS_MAY_BLOCK") fn.may_block = true;
           if (t.text == "IDS_WALLCLOCK_OK") fn.wallclock_ok = true;
-          if (t.text == "IDS_STABLE_STORAGE") fn.stable_storage = true;
           ++p;
         }
       } else {
@@ -541,8 +538,6 @@ void build_merged(Corpus& corpus) {
         m.invalidates_args.push_back(a);
       }
     }
-    m.stable_storage = m.stable_storage || fn.stable_storage;
-    if (m.view_ok.empty()) m.view_ok = fn.view_ok;
     if (m.ret_head.empty()) m.ret_head = fn.ret_head;
     m.min_args = std::min(m.min_args, fn.min_args);
     if (m.max_args != kVariadic) {

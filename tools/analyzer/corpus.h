@@ -42,8 +42,6 @@ struct FuncDecl {
   bool wallclock_ok = false;               // IDS_WALLCLOCK_OK on this decl
   bool invalidates = false;                // IDS_INVALIDATES on this decl
   std::vector<std::string> invalidates_args;  // raw IDS_INVALIDATES args
-  bool stable_storage = false;             // IDS_STABLE_STORAGE on this decl
-  std::string view_ok;                     // IDS_VIEW_OK reason; "" = none
   /// Head token of the return declarator, walking back from the name over
   /// `Class::` qualifiers: "&" / "*" for references and pointers, the
   /// template head for `std::vector<T>` / `std::span<T>` ("vector",
@@ -72,8 +70,6 @@ struct MergedFunc {
   bool wallclock_ok = false;
   bool invalidates = false;                   // any decl has IDS_INVALIDATES
   std::vector<std::string> invalidates_args;  // union over declarations
-  bool stable_storage = false;                // any decl has IDS_STABLE_STORAGE
-  std::string view_ok;  // IDS_VIEW_OK reason from any decl; "" = none
   std::string ret_head;  // first nonempty FuncDecl::ret_head
   std::size_t min_args = kVariadic, max_args = 0;  // union over declarations
   /// Return kind inferred through thin forwarding wrappers

@@ -356,9 +356,8 @@ std::size_t check_task_lambda(const FuncDecl& fn,
         {f.path, line,
          "task passed to '" + spawn_name + "' captures " + what + " " + how +
              " but '" + fn.name + "' never joins it; the capture dangles "
-             "if the task outlives the frame — capture by value, "
-             "wait/join before returning, or annotate the function "
-             "IDS_VIEW_OK(reason)"});
+             "if the task outlives the frame — capture by value, or "
+             "wait/join before returning"});
   };
   std::set<std::string> flagged;
   for (const std::string& nm : caps.by_ref) {
@@ -501,8 +500,6 @@ std::vector<EscapeFinding> find_task_lifetime(
   std::vector<EscapeFinding> out;
   for (const FuncDecl& fn : corpus.funcs) {
     if (!fn.has_body()) continue;
-    const MergedFunc* self = merged_of(corpus, fn);
-    if (self != nullptr && !self->view_ok.empty()) continue;  // audited
     const FileData& f = *fn.file;
     for (std::size_t i = fn.body_begin; i + 1 < fn.body_end; ++i) {
       if (!tok_ident(f.toks[i]) || !tok_is(f.toks[i + 1], "(")) continue;

@@ -10,8 +10,8 @@
 // the lambda arguments, resolves their captures, and flags state that is
 // captured by reference (or reached through a captured `this`) and then
 // mutated inside the task body without a guarding MutexLock, an atomic
-// type, an IDS_GUARDED_BY/IDS_SINGLE_QUERY_ONLY annotation, or an
-// internally-synchronized receiver class.
+// type, an IDS_GUARDED_BY annotation, or an internally-synchronized
+// receiver class.
 //
 // The sanctioned per-rank pattern — `dst[rank] = ...` indexed writes into
 // disjoint slots — is exempt by construction: any subscripted access is
@@ -54,8 +54,8 @@ std::vector<EscapeFinding> find_escapes(
 /// (compute_async_spawners) in a frame that never joins the task — no
 /// wait/get/join/drain call between the submit and the end of the body.
 /// By-reference and `this` captures of such a task dangle if the task
-/// outlives the frame; each one becomes a finding. IDS_VIEW_OK(reason) on
-/// the submitting function waives it. Feeds [task-outlives-capture].
+/// outlives the frame; each one becomes a finding. Feeds
+/// [task-outlives-capture].
 std::vector<EscapeFinding> find_task_lifetime(
     const Corpus& corpus, const std::set<const MergedFunc*>& async_spawners);
 

@@ -212,7 +212,7 @@ InvalidationSummaries compute_invalidation_summaries(const Corpus& corpus,
   // container mutator (or std::move) applied to a member of the receiver.
   for (const FuncDecl& fn : corpus.funcs) {
     const MergedFunc* self = merged_of(corpus, fn);
-    if (self == nullptr || self->stable_storage) continue;
+    if (self == nullptr) continue;
     if (s.origins.count(self) != 0) continue;
     if (self->invalidates) {
       s.origins[self] = {"IDS_INVALIDATES", ""};
@@ -258,7 +258,7 @@ InvalidationSummaries compute_invalidation_summaries(const Corpus& corpus,
   for (bool changed = true; changed;) {
     changed = false;
     for (const auto& [caller, callees] : graph.out_unique) {
-      if (caller->klass.empty() || caller->stable_storage) continue;
+      if (caller->klass.empty()) continue;
       if (s.origins.count(caller) != 0) continue;
       for (const MergedFunc* callee : callees) {
         if (callee->klass != caller->klass) continue;

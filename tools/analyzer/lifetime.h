@@ -12,8 +12,7 @@
 // *unique* call edges restricted to same-class caller→callee pairs —
 // invalidation is receiver-specific, so cross-class propagation over a
 // receiver-agnostic edge set would manufacture findings the way
-// over-approximated edges would for may-block. IDS_STABLE_STORAGE drops a
-// method from the inference entirely (deque-style storage, arenas).
+// over-approximated edges would for may-block.
 
 #include <map>
 #include <set>

@@ -38,9 +38,7 @@
 //   [shared-state]              only under --certify=concurrent-exec: the
 //                               shared-state certificate rooted at
 //                               IdsEngine::execute (inventory on stdout,
-//                               findings on stderr; IDS_SINGLE_QUERY_ONLY
-//                               waives an entry and records the worklist
-//                               for concurrent serving).
+//                               findings on stderr).
 //
 // phase/epoch (rules_phase.cpp, phase.h):
 //   [phase-discipline]          IDS_FROZEN_AFTER(freeze) fields: the
@@ -60,8 +58,7 @@
 //                               and used after a may-invalidate operation
 //                               — a reallocating std mutator, or a method
 //                               whose inferred/annotated invalidation
-//                               summary says so (IDS_INVALIDATES asserts,
-//                               IDS_STABLE_STORAGE exempts).
+//                               summary says so (IDS_INVALIDATES asserts).
 //   [dangling-return]           returning a reference/pointer/view into a
 //                               local, a by-value parameter, or a
 //                               temporary.
@@ -69,8 +66,7 @@
 //                               to rvalue temporaries.
 //   [task-outlives-capture]     by-ref/this captures handed to
 //                               ThreadPool::submit in a frame that never
-//                               joins the task (IDS_VIEW_OK waives, with
-//                               the reason as audit trail).
+//                               joins the task.
 //
 // The analysis is deliberately conservative: a call it cannot resolve
 // (ambiguous name, receiver of unknown type, operator overload) is skipped

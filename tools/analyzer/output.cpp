@@ -41,7 +41,7 @@ const std::vector<RuleInfo>& rule_table() {
       {"guarded-by",
        "Fields of classes that own an ids::Mutex must hold the lock "
        "consistently at every write and carry IDS_GUARDED_BY (or be "
-       "atomic/const/IDS_SINGLE_QUERY_ONLY-waived)."},
+       "atomic/const)."},
       {"thread-escape",
        "State captured by reference (or via 'this') in a task handed to "
        "ThreadPool::submit/parallel_for must not be mutated without a "
@@ -50,8 +50,8 @@ const std::vector<RuleInfo>& rule_table() {
       {"shared-state",
        "--certify=concurrent-exec: every static, global, and member "
        "transitively reachable from IdsEngine::execute must be immutable, "
-       "guarded, atomic, internally synchronized, phase-frozen "
-       "(IDS_FROZEN_AFTER), or IDS_SINGLE_QUERY_ONLY-waived."},
+       "guarded, atomic, internally synchronized, or phase-frozen "
+       "(IDS_FROZEN_AFTER)."},
       {"phase-discipline",
        "An IDS_FROZEN_AFTER(freeze) field's owning class must define the "
        "freeze method, the field must not be mutable (lazy-prepare: "
@@ -69,8 +69,7 @@ const std::vector<RuleInfo>& rule_table() {
        "container must not be used after an operation that may reallocate "
        "or destroy the element storage (push_back, rehash, clear, a method "
        "annotated IDS_INVALIDATES, or one inferred to reach such a "
-       "mutation); IDS_STABLE_STORAGE exempts a mutator, IDS_VIEW_OK "
-       "waives a function with an audit reason."},
+       "mutation)."},
       {"dangling-return",
        "Functions must not return a reference, pointer, span, or "
        "string_view bound to a local variable, a by-value parameter, or a "
@@ -82,8 +81,7 @@ const std::vector<RuleInfo>& rule_table() {
       {"task-outlives-capture",
        "Tasks handed to ThreadPool::submit must not capture frame state "
        "by reference (or 'this') unless the submitting function joins the "
-       "task before returning; IDS_VIEW_OK(reason) records an audited "
-       "exception."},
+       "task before returning."},
   };
   return kTable;
 }

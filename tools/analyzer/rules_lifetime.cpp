@@ -19,9 +19,6 @@
 // [task-outlives-capture] By-ref/this captures handed to an async spawner
 //                       (ThreadPool::submit) in a frame that never joins
 //                       the task (escape.cpp does the scan).
-//
-// IDS_VIEW_OK(reason) on a function waives all four families for its body;
-// the reason string is the audit trail.
 
 #include <algorithm>
 #include <map>
@@ -474,8 +471,7 @@ void scan_body(Analysis& a, const FuncDecl& fn, const Corpus& corpus,
             a.report("temporary-bound-view", f, t.line,
                      dh.head + " '" + n + "' is bound to " + bound_to +
                          ", which dies at the end of the statement; "
-                         "materialize the owner in a named variable or "
-                         "annotate the function IDS_VIEW_OK(reason)");
+                         "materialize the owner in a named variable");
           }
         }
         continue;
@@ -514,7 +510,7 @@ void scan_body(Analysis& a, const FuncDecl& fn, const Corpus& corpus,
         std::string why;
         const MergedFunc* callee = resolve_call(f, i, fn.klass, corpus);
         if (callee != nullptr) {
-          if (!callee->stable_storage && sums.may_invalidate(callee)) {
+          if (sums.may_invalidate(callee)) {
             inval = true;
             why = "'" + chain + "." + n + "()' (" +
                   describe_origin(sums.origin(callee)) + ")";
@@ -566,7 +562,7 @@ void scan_body(Analysis& a, const FuncDecl& fn, const Corpus& corpus,
         } else if (!fn.klass.empty()) {
           const MergedFunc* callee = resolve_call(f, i, fn.klass, corpus);
           if (callee != nullptr && callee->klass == fn.klass &&
-              !callee->stable_storage && sums.may_invalidate(callee)) {
+              sums.may_invalidate(callee)) {
             pending.push_back(PendingInvalidation{
                 f.partner[i + 1], true, "", callee->invalidates_args,
                 "'" + n + "()' (" + describe_origin(sums.origin(callee)) +
@@ -590,9 +586,7 @@ void scan_body(Analysis& a, const FuncDecl& fn, const Corpus& corpus,
                      " at line " +
                      std::to_string(vi->second.invalidated_line) +
                      " may have invalidated it; re-derive the view after "
-                     "the mutation, annotate the mutator "
-                     "IDS_STABLE_STORAGE, or waive the function with "
-                     "IDS_VIEW_OK(reason)");
+                     "the mutation");
         views.erase(vi);  // one report per view
       }
     }
@@ -790,8 +784,6 @@ void run_lifetime_rules(Analysis& a) {
 
   for (const FuncDecl& fn : corpus.funcs) {
     if (!fn.has_body()) continue;
-    const MergedFunc* self = merged_of(corpus, fn);
-    if (self != nullptr && !self->view_ok.empty()) continue;  // audited
     const std::map<std::string, LocalInfo> locals = collect_locals_typed(fn);
     const std::map<std::string, std::string> val_params =
         by_value_params_typed(fn);

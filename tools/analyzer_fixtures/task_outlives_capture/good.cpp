@@ -1,8 +1,7 @@
 // Fixture (positive): detached-task captures the analyzer must accept —
 // by-value captures (each task owns its copy), frames that join the pool
-// before returning, parallel_for (which joins internally), by-ref
-// captures of reference parameters (the caller owns the referent), and an
-// audited IDS_VIEW_OK waiver for a pool whose shutdown joins everything.
+// before returning, parallel_for (which joins internally), and by-ref
+// captures of reference parameters (the caller owns the referent).
 
 namespace fixture {
 
@@ -38,19 +37,6 @@ void relay(ThreadPool& pool, std::vector<int>& shared) {
   // `shared` is a reference parameter: its referent belongs to the
   // caller, which is responsible for outliving the pool.
   pool.submit([&shared] { consume(shared); });
-}
-
-class Loader {
- public:
-  void kick(ThreadPool& pool) IDS_VIEW_OK("fixture: pool joins in ~Loader");
-
- private:
-  std::atomic<long> loaded_{0};
-};
-
-void Loader::kick(ThreadPool& pool)
-    IDS_VIEW_OK("fixture: pool joins in ~Loader") {
-  pool.submit([this] { loaded_.fetch_add(1); });
 }
 
 }  // namespace fixture

@@ -1,8 +1,7 @@
 // Fixture (positive): view lifetimes the analyzer must accept — views
-// re-derived after the mutation, stable-storage mutators
-// (IDS_STABLE_STORAGE), the sanctioned erase-loop idiom (the iterator is
-// reassigned from erase's return before it is read again), mutation of a
-// *different* container, and an audited IDS_VIEW_OK waiver.
+// re-derived after the mutation, the sanctioned erase-loop idiom (the
+// iterator is reassigned from erase's return before it is read again), and
+// mutation of a *different* container.
 
 namespace fixture {
 
@@ -23,19 +22,6 @@ int other_container() {
   return *pa;
 }
 
-class Arena {
- public:
-  // Deque-style storage: growth never moves settled elements.
-  void push(int v) IDS_STABLE_STORAGE;
-  const int* head() const;
-};
-
-int stable(Arena& arena) {
-  const int* h = arena.head();
-  arena.push(5);  // IDS_STABLE_STORAGE: h stays valid
-  return *h;
-}
-
 void erase_loop(std::vector<int>& v) {
   for (auto it = v.begin(); it != v.end();) {
     if (*it < 0) {
@@ -44,12 +30,6 @@ void erase_loop(std::vector<int>& v) {
       ++it;
     }
   }
-}
-
-int waived(std::vector<int>& v) IDS_VIEW_OK("fixture: capacity reserved out of band") {
-  const int* p = v.data();
-  v.push_back(9);
-  return *p;
 }
 
 }  // namespace fixture

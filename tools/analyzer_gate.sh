@@ -62,7 +62,7 @@ fi
 
 echo "==> ids-analyzer certify (concurrent-exec shared-state certificate)"
 # The certificate must pass (exit 0) AND match the committed inventory, so
-# every newly waived or reclassified entry shows up in review.
+# every new or reclassified entry shows up in review.
 fresh_cert=$(mktemp)
 "$analyzer" --certify=concurrent-exec src > "$fresh_cert"
 if ! diff -u tools/concurrency_certificate.json "$fresh_cert"; then
