@@ -123,7 +123,7 @@ void BM_DockingEnergy(benchmark::State& state) {
 }
 BENCHMARK(BM_DockingEnergy);
 
-void BM_DockingFull(benchmark::State& state) {
+void run_docking_full(benchmark::State& state) {
   Rng rng(6);
   auto st = models::predict_structure(datagen::random_protein_sequence(rng, 250));
   models::DockingParams p;
@@ -135,7 +135,15 @@ void BM_DockingFull(benchmark::State& state) {
     benchmark::DoNotOptimize(eng.dock(lig, seed++));
   }
 }
+
+void BM_DockingFull(benchmark::State& state) { run_docking_full(state); }
 BENCHMARK(BM_DockingFull)->Arg(1)->Arg(8);
+
+void BM_DockingFullScalar(benchmark::State& state) {
+  ScopedSimdLevel scoped(simd::Level::kScalar);
+  run_docking_full(state);
+}
+BENCHMARK(BM_DockingFullScalar)->Arg(1)->Arg(8);
 
 void BM_TripleScan(benchmark::State& state) {
   graph::TripleStore store(1);

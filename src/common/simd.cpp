@@ -7,6 +7,9 @@
 #include "common/simd.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -552,6 +555,144 @@ SwScore sw_striped_i16(const std::uint8_t* a_idx, int m,
   (void)gap_extend;
 #endif
   return result;
+}
+
+// ---- Docking pair terms --------------------------------------------------
+//
+// models::interaction_energy's pair formula, once per level, in the same
+// correctly rounded operations (sub, mul, add, div, sqrt, min, max, compare)
+// and order. std::max(a, b) is (a < b) ? b : a, or _mm256_max_pd(b, a) NaN
+// included: std::max(r2, 0.25) is _mm256_max_pd(0.25, r2).
+
+namespace {
+
+// r ≥ 0.5 Å (no singularity), clashes steep but finite, dielectric 4r.
+constexpr double kClampR2 = 0.25, kLjCap = 10.0, kDielectric = 4.0;
+constexpr double kHbondLo = 2.4, kHbondHi = 3.6, kHbondCenter = 3.0;
+constexpr double kHbondWidth = 0.6, kHbondDepth = 1.6;
+constexpr double kHydroLo = 3.2, kHydroHi = 5.0;
+constexpr double kHydroWidth = 1.8, kHydroDepth = 0.45;
+
+#if IDS_SIMD_X86
+
+// kDockPack[m]: permutevar8x32 indices moving the lanes set in m forward.
+constexpr auto kDockPack = [] {
+  std::array<std::array<int, 8>, 16> t{};
+  for (int m = 0; m < 16; ++m) {
+    for (int l = 0, k = 0; l < 4; ++l) {
+      if (m & (1 << l)) t[m][k++] = 2 * l, t[m][k++] = 2 * l + 1;
+    }
+  }
+  return t;
+}();
+
+IDS_TARGET_AVX2 inline void store_packed(double* dst, __m256d v, int mask) {
+  const __m256i pack = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kDockPack[mask].data()));
+  _mm256_storeu_pd(dst, _mm256_castps_pd(_mm256_permutevar8x32_ps(
+                            _mm256_castpd_ps(v), pack)));
+}
+
+IDS_TARGET_AVX2 inline __m256d set(double v) { return _mm256_set1_pd(v); }
+
+IDS_TARGET_AVX2 inline __m256d diff(float r, const float* l) {
+  return _mm256_cvtps_pd(_mm_sub_ps(_mm_set1_ps(r), _mm_loadu_ps(l)));
+}
+
+// Four ligand atoms at a time; the padding lanes are never scored. A pair
+// earns at most one bonus, so one division serves both: |r - 3| / 0.6 for
+// a hydrogen bond, (r - 3.2) / 1.8 for a hydrophobic contact.
+IDS_TARGET_AVX2 std::size_t dock_pair_avx2(const DockRow& row,
+                                           const DockLigand& lig, double* lj,
+                                           double* coulomb, double* bonus,
+                                           std::size_t k) {
+  for (std::size_t j = 0; j < lig.n; j += 4) {
+    const __m256d dx = diff(row.x, lig.x + j);
+    const __m256d dy = diff(row.y, lig.y + j);
+    const __m256d dz = diff(row.z, lig.z + j);
+    __m256d r2 = _mm256_add_pd(
+        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+        _mm256_mul_pd(dz, dz));
+    // "Not greater, unordered": the scalar `r2 > 64` rejects no NaN.
+    const int in = _mm256_movemask_pd(_mm256_cmp_pd(
+                       r2, set(kDockCutoff2), _CMP_NGT_UQ)) &
+                   (lig.n - j >= 4 ? 0xF : (1 << (lig.n - j)) - 1);
+    if (in == 0) continue;
+    r2 = _mm256_max_pd(set(kClampR2), r2);
+    const __m256d r = _mm256_sqrt_pd(r2);
+    const __m256d sr2 = _mm256_div_pd(_mm256_loadu_pd(row.sigma2 + j), r2);
+    const __m256d sr6 = _mm256_mul_pd(_mm256_mul_pd(sr2, sr2), sr2);
+    const __m256d e612 = _mm256_sub_pd(_mm256_mul_pd(sr6, sr6), sr6);
+    store_packed(lj + k,
+                 _mm256_min_pd(set(kLjCap),
+                               _mm256_mul_pd(_mm256_loadu_pd(row.four_eps + j),
+                                             e612)),
+                 in);
+    const __m256d q = _mm256_cvtps_pd(_mm_loadu_ps(lig.charge + j));
+    store_packed(coulomb + k,
+                 _mm256_div_pd(_mm256_mul_pd(set(row.coulomb), q),
+                               _mm256_mul_pd(set(kDielectric), r2)),
+                 in);
+    const __m256d kind = _mm256_loadu_pd(row.bonus + j);
+    const __m256d hb = _mm256_cmp_pd(kind, set(kDockHbond), _CMP_EQ_OQ);
+    const __m256d hy = _mm256_cmp_pd(kind, set(kDockHydro), _CMP_EQ_OQ);
+    const __m256d off = _mm256_blendv_pd(
+        _mm256_sub_pd(r, set(kHydroLo)),
+        _mm256_andnot_pd(set(-0.0), _mm256_sub_pd(r, set(kHbondCenter))), hb);
+    const __m256d w = _mm256_sub_pd(
+        set(1.0), _mm256_div_pd(off, _mm256_blendv_pd(set(kHydroWidth),
+                                                      set(kHbondWidth), hb)));
+    const __m256d hb_on = _mm256_and_pd(
+        _mm256_and_pd(hb, _mm256_cmp_pd(r, set(kHbondLo), _CMP_GT_OQ)),
+        _mm256_and_pd(_mm256_cmp_pd(r, set(kHbondHi), _CMP_LT_OQ),
+                      _mm256_cmp_pd(w, _mm256_setzero_pd(), _CMP_GT_OQ)));
+    const __m256d hy_on = _mm256_and_pd(
+        hy, _mm256_and_pd(_mm256_cmp_pd(r, set(kHydroLo), _CMP_GT_OQ),
+                          _mm256_cmp_pd(r, set(kHydroHi), _CMP_LT_OQ)));
+    store_packed(
+        bonus + k,
+        _mm256_or_pd(_mm256_and_pd(hb_on, _mm256_mul_pd(set(kHbondDepth), w)),
+                     _mm256_and_pd(hy_on, _mm256_mul_pd(set(kHydroDepth), w))),
+        in);
+    k += static_cast<std::size_t>(std::popcount(static_cast<unsigned>(in)));
+  }
+  return k;
+}
+
+#endif  // IDS_SIMD_X86
+
+}  // namespace
+
+std::size_t dock_pair_terms(const DockRow& row, const DockLigand& ligand,
+                            double* lj, double* coulomb, double* bonus,
+                            std::size_t k) {
+#if IDS_SIMD_X86
+  if (active_level() == Level::kAvx2) {
+    return dock_pair_avx2(row, ligand, lj, coulomb, bonus, k);
+  }
+#endif
+  for (std::size_t j = 0; j < ligand.n; ++j) {
+    const double dx = row.x - ligand.x[j];
+    const double dy = row.y - ligand.y[j];
+    const double dz = row.z - ligand.z[j];
+    double r2 = dx * dx + dy * dy + dz * dz;
+    if (r2 > kDockCutoff2) continue;
+    r2 = std::max(r2, kClampR2);
+    const double r = std::sqrt(r2);
+    const double sr2 = row.sigma2[j] / r2;  // 6-12 Lennard-Jones
+    const double sr6 = sr2 * sr2 * sr2;
+    lj[k] = std::min(row.four_eps[j] * (sr6 * sr6 - sr6), kLjCap);
+    coulomb[k] = row.coulomb * ligand.charge[j] / (kDielectric * r2);
+    bonus[k] = 0.0;
+    if (row.bonus[j] == kDockHbond) {
+      const double w = 1.0 - std::abs(r - kHbondCenter) / kHbondWidth;
+      if (r > kHbondLo && r < kHbondHi && w > 0.0) bonus[k] = kHbondDepth * w;
+    } else if (row.bonus[j] == kDockHydro && r > kHydroLo && r < kHydroHi) {
+      bonus[k] = kHydroDepth * (1.0 - (r - kHydroLo) / kHydroWidth);
+    }
+    ++k;
+  }
+  return k;
 }
 
 }  // namespace ids::simd

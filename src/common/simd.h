@@ -171,4 +171,36 @@ inline std::uint32_t group_match_empty(const std::uint8_t* ctrl) {
   return m;
 }
 
+// ---- Docking pair terms (exact, double lanes) ----------------------------
+
+/// The docking cutoff, (8 Å)²: a pair is scored unless r² exceeds it, so
+/// a NaN r² is scored.
+inline constexpr double kDockCutoff2 = 64.0;
+
+/// The bonus an element pair can earn, at most one; 0.0 for none.
+inline constexpr double kDockHbond = 1.0;  // N/O with N/O
+inline constexpr double kDockHydro = 2.0;  // C with C
+
+/// A ligand pose in SoA form: n atoms, arrays zero-padded to 4 lanes.
+struct DockLigand {
+  const float *x, *y, *z, *charge;
+  std::size_t n;
+};
+
+/// A receptor atom, and its element's σ², 4ε and bonus kind against each
+/// ligand atom j, padded as the ligand.
+struct DockRow {
+  float x, y, z;
+  double coulomb;  // 332 × the atom's charge
+  const double *sigma2, *four_eps, *bonus;
+};
+
+/// Writes from slot k, in ligand order, the terms of each pair of `row` ×
+/// `ligand` inside the cutoff (the Lennard-Jones term capped at 10, the
+/// Coulomb term, the bonus or +0.0), bit-identical at every level; each
+/// buffer needs k + n + 3 slots. Returns k plus the pairs written.
+std::size_t dock_pair_terms(const DockRow& row, const DockLigand& ligand,
+                            double* lj, double* coulomb, double* bonus,
+                            std::size_t k);
+
 }  // namespace ids::simd

@@ -34,14 +34,14 @@ struct DockingParams {
 struct DockingResult {
   double best_energy = 0.0;            // kcal/mol, lower is better
   std::vector<double> mode_energies;   // best per restart, sorted ascending
-  std::uint64_t work_units = 0;        // atom-pair evaluations performed
-  std::uint32_t iterations = 0;        // total Monte Carlo steps
+  std::uint64_t work_units = 0;        // ligand × receptor atoms per pose
+  std::uint32_t iterations = 0;        // Monte Carlo steps scored (in-box)
 
   friend bool operator==(const DockingResult&, const DockingResult&) = default;
 };
 
 /// Pairwise interaction energy (kcal/mol-ish) between receptor and ligand
-/// in their current coordinates. Exposed for tests.
+/// in their current coordinates, by the docking kernel. Exposed for tests.
 double interaction_energy(const Molecule& receptor, const Molecule& ligand);
 
 class DockingEngine {

@@ -204,6 +204,25 @@ TEST(Docking, DeserializeRejectsGarbage) {
   EXPECT_FALSE(deserialize("", &r));
   EXPECT_FALSE(deserialize("not;enough", &r));
   EXPECT_FALSE(deserialize("x;1,2;3;4", &r));
+  // Every field must parse whole.
+  EXPECT_FALSE(deserialize("1.5;abc;3;4", &r));
+  EXPECT_FALSE(deserialize("1.5;;x;y", &r));
+  EXPECT_FALSE(deserialize("1.5junk;2;3;4", &r));
+  EXPECT_FALSE(deserialize("1.5;2,;3;4", &r));
+  EXPECT_FALSE(deserialize(" 1.5;2;3;4", &r));
+  // The counts are unsigned decimals in range.
+  EXPECT_FALSE(deserialize("1.5;2;-3;4", &r));
+  EXPECT_FALSE(deserialize("1.5;2;+3;4", &r));
+  EXPECT_FALSE(deserialize("1.5;2;3;4.0", &r));
+  EXPECT_FALSE(deserialize("1.5;2;18446744073709551616;4", &r));
+  EXPECT_FALSE(deserialize("1.5;2;3;4294967296", &r));
+  ASSERT_TRUE(deserialize("1.5;2;18446744073709551615;4294967295", &r));
+  EXPECT_EQ(r.work_units, 18446744073709551615u);
+  EXPECT_EQ(r.iterations, 4294967295u);
+  // An empty ligand's result stays valid.
+  ASSERT_TRUE(deserialize("0;;0;0", &r));
+  EXPECT_EQ(r, DockingResult{});
+  EXPECT_EQ(serialize(DockingResult{}), "0;;0;0");
 }
 
 TEST(Docking, InteractionEnergyFarApartIsZero) {
